@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import DomainError, InvariantError
 from .groups import StripPosition, as_spectral, classify
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _GL_NODES, _GL_WEIGHTS, oscillation_edges
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges
 from .specfun import bessel_k_many, gamma
+from .spherical import _c_m, _kernel_edges
 
 _MATRIX_TOL = 1e-10
 
@@ -267,11 +268,7 @@ def fhat_check(m: int, s, y_norm: float,
             break
         x_max *= 2.0
     edges = oscillation_edges(0.0, x_max, lambda x: y, base_width=1.0)
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    vals = (f(xs) * np.cos(y * xs)).reshape(len(mids), len(_GL_NODES))
-    body = complex(np.sum(halves * (vals @ _GL_WEIGHTS)))
+    body = composite(lambda x: f(x) * np.cos(y * x), edges)
     sin_xy, cos_xy = math.sin(y * x_max), math.cos(y * x_max)
     tail = (
         -f(x_max) * sin_xy / y
@@ -311,27 +308,16 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     sc = complex(sp.value)
     r = float(r)
     lam = math.exp(r) * abs(float(y))
-    sigma = abs(sc.real)
-    depth = -math.log(spec.absolute_tolerance) + spec.truncation_margin
-    v_min = -depth / (m - 2.0 * sigma)
-    v_max = math.log(max(depth / (1.0 + math.exp(r)), 1e-3))
-    t_osc = 2.0 * abs(sc.imag)
-    edges = oscillation_edges(
-        v_min, v_max, lambda v: lam * math.exp(v) + t_osc, base_width=0.8
-    )
+    edges = _kernel_edges(m, sc, r, lam, spec)
     scale = math.exp(r)
     sc_neg_conj = -sc.conjugate()
-    c_m = math.sqrt(gamma(float(m)).real / (math.pi ** (m / 2.0) * gamma(m / 2.0).real))
-    coeff_left = c_m * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc)
-    coeff_right = c_m * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc_neg_conj)
+    coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc)
+    coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc_neg_conj)
 
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    vs = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    xs = np.exp(vs)
-    left = coeff_left * bessel_k_many(sc, scale * xs, spec)
-    right = np.conjugate(coeff_right * bessel_k_many(sc_neg_conj, xs, spec))
-    vals = left * right * np.cos(lam * xs) * xs
-    vals = vals.reshape(len(mids), len(_GL_NODES))
-    integral = complex(np.sum(halves * (vals @ _GL_WEIGHTS)))
-    return 2.0 * math.exp(m * r / 2.0) * integral
+    def integrand(vs):
+        xs = np.exp(vs)
+        left = coeff_left * bessel_k_many(sc, scale * xs, spec)
+        right = np.conjugate(coeff_right * bessel_k_many(sc_neg_conj, xs, spec))
+        return left * right * np.cos(lam * xs) * xs
+
+    return 2.0 * math.exp(m * r / 2.0) * composite(integrand, edges)

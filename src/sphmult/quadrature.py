@@ -138,6 +138,13 @@ def integrate(
     return total
 
 
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of every panel, flattened, and the panel half-widths."""
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel(), halves
+
+
 def composite(
     f: Callable,
     edges: np.ndarray,
@@ -147,10 +154,8 @@ def composite(
     """Non-adaptive composite Gauss-Legendre over the given panel edges."""
     if not vectorized:
         f = _as_vectorized(f)
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    ys = np.asarray(f(xs), dtype=complex).reshape(len(mids), len(_GL_NODES))
+    xs, halves = _panel_nodes(edges)
+    ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
     return complex(np.sum(halves * (ys @ _GL_WEIGHTS)))
 
 

@@ -6,8 +6,11 @@ its own closed forms and its quadrature oracles strictly separate, so each
 side can be used to validate the other:
 
 * ``gamma``/``beta``/``hyp2f1`` are closed-form evaluations,
-* ``bessel_k`` evaluates the cosh-integral representation
-  K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt  (x > 0),
+* ``bessel_k`` and ``bessel_k_many`` evaluate the cosh-integral
+  representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt
+  (x > 0) through one batched kernel: points sorted by truncation point
+  share panel grids in runs of up to 64, each grid level is one matrix
+  product, and every point keeps its own stopping rule,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
   ``bessel_product_moment`` is its quadrature counterpart.
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _GL_NODES, _GL_WEIGHTS
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _GL_WEIGHTS, _panel_nodes, composite
 
 SPECIAL_RTOL = 1e-12
 MAX_SERIES_TERMS = 100_000
@@ -312,37 +315,91 @@ def _bessel_small_x(nu: complex, x):
     return 0.5 * (gamma(nu) * half ** (-nu) + gamma(-nu) * half**nu)
 
 
-def _bessel_truncation(x: float, sigma: float, budget: float, margin: float) -> float:
-    """Smallest T with x*cosh(T) - sigma*T >= budget + margin."""
-    target = budget + margin
-    t = math.acosh(max(2.0, target / x)) if x < target / 2.0 else 1.0
+# Most points that share one panel grid in the batched K_nu kernel.
+_BESSEL_RUN = 64
+
+
+def _bessel_grid(nu: complex, xs: np.ndarray, t_max: float,
+                 n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_nu(x) and K_sigma(x), sigma = |Re nu|, for every x on one grid of
+    n panels over [0, t_max], as one product of exp(-x cosh t) with weights."""
+    ts, halves = _panel_nodes(np.linspace(0.0, t_max, n_panels + 1))
+    ws = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    # cosh((a + ib) t) = cosh(at) cos(bt) + i sinh(at) sin(bt), and
+    # cosh(at) = cosh(sigma t) weights K_sigma.
+    w_cosh = ws * np.cosh(nu.real * ts)
+    columns = np.stack([w_cosh * np.cos(nu.imag * ts),
+                        ws * np.sinh(nu.real * ts) * np.sin(nu.imag * ts),
+                        w_cosh], axis=1)
+    kernel = np.multiply.outer(-xs, np.cosh(ts))
+    k = np.exp(kernel, out=kernel) @ columns
+    return k[:, 0] + 1j * k[:, 1], k[:, 2]
+
+
+def _bessel_k_array(nu: complex, xs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """The one K_nu kernel behind ``bessel_k`` and ``bessel_k_many``."""
+    if not np.all(xs > 0):
+        raise DomainError("bessel_k requires x > 0")
+    out = np.empty(xs.shape, dtype=complex)
+    small = xs < _BESSEL_SMALL_X
+    if small.any():
+        closed = _bessel_small_x(nu, xs[small])
+        if closed is None:
+            small = np.zeros_like(small)
+        else:
+            out[small] = closed
+    rest = xs[~small]
+    sigma = abs(nu.real)
+    # Cut each integral at T >= acosh(2) where x cosh T - sigma T exceeds
+    # its value at the envelope's peak, t = asinh(sigma / x), by 40 e-folds
+    # (~4e-18) plus the spec's margin.
+    t_peak = np.arcsinh(sigma / rest)
+    target = rest * np.cosh(t_peak) - sigma * t_peak + 40.0 + spec.truncation_margin
+    cuts = np.arccosh(np.maximum(2.0, target / rest))
     for _ in range(4):
-        t = math.acosh(max(2.0, (target + sigma * t) / x))
-    return max(t, 1.0)
-
-
-def _bessel_panels(t_max: float, imag_rate: float) -> np.ndarray:
-    width = min(0.7, 2.4 / (1.0 + imag_rate))
-    n = max(4, int(math.ceil(t_max / width)))
-    return np.linspace(0.0, t_max, n + 1)
-
-
-def _bessel_eval(nu: complex, x: float, edges: np.ndarray) -> complex:
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    ts = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    vals = np.exp(-x * np.cosh(ts)) * np.cosh(nu * ts)
-    vals = vals.reshape(len(mids), len(_GL_NODES))
-    return complex(np.sum(halves * (vals @ _GL_WEIGHTS)))
+        cuts = np.arccosh(np.maximum(2.0, (target + sigma * cuts) / rest))
+    # Runs of points sorted by (T, x) share grids of n, 2n, 4n and 8n panels
+    # on [0, T_run]; the sort keeps T_run close to each point's own cut and
+    # each value independent of the order of the input points.
+    order = np.lexsort((rest, cuts))
+    width = min(0.7, 2.4 / (1.0 + abs(nu.imag)))
+    vals = np.empty(rest.shape, dtype=complex)
+    for start in range(0, len(order), _BESSEL_RUN):
+        open_ = order[start:start + _BESSEL_RUN]
+        t_max = float(cuts[open_[-1]])
+        n_panels = max(4, int(math.ceil(t_max / width)))
+        val = _bessel_grid(nu, rest[open_], t_max, n_panels)[0]
+        # Each point stops on its own rule; only open points are refined.
+        for _ in range(3):
+            n_panels *= 2
+            finer, mass = _bessel_grid(nu, rest[open_], t_max, n_panels)
+            err = np.abs(val - finer)
+            done = err <= SPECIAL_RTOL * np.maximum(np.abs(finer), spec.absolute_tolerance)
+            vals[open_[done]] = finer[done]
+            open_, val, err, mass = open_[~done], finer[~done], err[~done], mass[~done]
+            if not open_.size:
+                break
+        # Near a zero of K_nu the value is far below the integrand's L1 mass,
+        # which K_sigma(x) bounds since |cosh(nu t)| <= cosh(sigma t); the
+        # doublings then agree only to rounding noise of that mass.
+        ok = (np.abs(val) < spec.absolute_tolerance) | (err <= _BESSEL_ROUNDING_FLOOR * mass)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ConvergenceError("bessel_k quadrature did not converge",
+                                   best_estimate=complex(val[i]), achieved_error=float(err[i]))
+        vals[open_] = val
+    out[~small] = vals
+    return out
 
 
 def bessel_k(nu: complex, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """K_nu(x) for x > 0 and complex order nu, from the cosh integral.
 
-    The integrand decays like exp(-x*cosh(t) + |Re nu| t); truncation is
-    chosen so the discarded tail is below the working tolerance relative
-    to the integrand's peak, then pushed out by the spec's margin.
-    Symmetry in nu and conjugation symmetry hold by construction.
+    The one-point case of ``bessel_k_many``.  The integrand decays like
+    exp(-x*cosh(t) + |Re nu| t); truncation is chosen so the discarded
+    tail sits about 40 e-folds below the integrand's peak, then pushed
+    out by the spec's margin.  Symmetry in nu and conjugation symmetry
+    hold by construction.
 
     The panel grid is doubled up to three times.  The result is returned
     once two estimates agree to 1e-12 relative, or, after the last
@@ -352,62 +409,21 @@ def bessel_k(nu: complex, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> comp
     limited by the conditioning K_sigma(x) / |K_nu(x)|.  Raises
     ConvergenceError when neither holds.
     """
-    x = float(x)
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
-    nu = complex(nu)
-    if x < _BESSEL_SMALL_X:
-        small = _bessel_small_x(nu, x)
-        if small is not None:
-            return complex(small)
-    sigma = abs(nu.real)
-    # Peak of the integrand envelope exp(-x cosh t + sigma t); cut the
-    # tail roughly 40 e-folds (~4e-18) below it.
-    t_peak = math.asinh(sigma / x) if sigma > 0 else 0.0
-    peak_log = -x * math.cosh(t_peak) + sigma * t_peak
-    budget = peak_log + 40.0
-    t_max = _bessel_truncation(x, sigma, budget, spec.truncation_margin)
-    edges = _bessel_panels(t_max, abs(nu.imag))
-    val = _bessel_eval(nu, x, edges)
-    for _ in range(3):
-        finer = np.linspace(0.0, edges[-1], 2 * (len(edges) - 1) + 1)
-        val2 = _bessel_eval(nu, x, finer)
-        err = abs(val - val2)
-        edges, val = finer, val2
-        if err <= SPECIAL_RTOL * max(abs(val2), spec.absolute_tolerance):
-            return val
-    if abs(val) < spec.absolute_tolerance:
-        return val
-    # Near a zero of K_nu the value is far below the integrand's L1 mass,
-    # which K_sigma(x) bounds since |cosh(nu t)| <= cosh(sigma t); the
-    # doublings then agree only to rounding noise of that mass.
-    if err <= _BESSEL_ROUNDING_FLOOR * _bessel_eval(sigma, x, edges).real:
-        return val
-    raise ConvergenceError(
-        "bessel_k quadrature did not converge", best_estimate=val, achieved_error=err
-    )
+    return complex(_bessel_k_array(complex(nu), np.array([float(x)]), spec)[0])
 
 
 def bessel_k_many(nu: complex, xs: Sequence[float],
                   spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """Vector of K_nu over positive abscissas.
+    """Vector of K_nu over positive abscissas, with the rules of ``bessel_k``.
 
-    Small abscissas go through the closed small-x form in one vectorized
-    sweep; the rest are integrated individually.
+    Small abscissas take the closed small-x form.  The rest are sorted by
+    truncation point and integrated in runs of at most 64 points that
+    share each panel grid, one matrix product per grid; a run's grid
+    reaches its longest cut, so a value agrees with ``bessel_k`` to
+    rounding of K_sigma(x) and does not depend on the order of ``xs``.
+    Raises DomainError when any abscissa is not positive.
     """
-    nu = complex(nu)
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=complex)
-    small = xs < _BESSEL_SMALL_X
-    if small.any():
-        vals = _bessel_small_x(nu, xs[small])
-        if vals is None:
-            small = np.zeros_like(small)
-        else:
-            out[small] = vals
-    for i in np.nonzero(~small)[0]:
-        out[i] = bessel_k(nu, float(xs[i]), spec)
-    return out
+    return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)
 
 
 def weber_schafheitlin_rhs(nu: complex, mu: complex, rho: complex) -> complex:
@@ -455,21 +471,15 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
 
     conjugate_pair = mu == nu.conjugate()
 
-    def evaluate(n_panels):
-        edges = np.linspace(v_min, v_max, n_panels + 1)
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        vs = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+    def integrand(vs):
         rs = np.exp(vs)
         k1 = bessel_k_many(nu, rs, spec)
         k2 = np.conjugate(k1) if conjugate_pair else bessel_k_many(mu, rs, spec)
-        integrand = k1 * k2 * np.exp((power + 1.0) * vs)
-        integrand = integrand.reshape(len(mids), len(_GL_NODES))
-        return complex(np.sum(halves * (integrand @ _GL_WEIGHTS)))
+        return k1 * k2 * np.exp((power + 1.0) * vs)
 
-    val = evaluate(n)
+    val = composite(integrand, np.linspace(v_min, v_max, n + 1))
     for _ in range(3):
-        val2 = evaluate(2 * n)
+        val2 = composite(integrand, np.linspace(v_min, v_max, 2 * n + 1))
         err = abs(val - val2)
         n, val = 2 * n, val2
         if err <= spec.relative_tolerance * max(abs(val2), spec.absolute_tolerance):

@@ -37,8 +37,6 @@ from .groups import RankOneGroup, StripPosition, as_spectral, classify
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    _GL_NODES,
-    _GL_WEIGHTS,
     composite,
     integrate,
     oscillation_edges,
@@ -322,6 +320,20 @@ def _angular_factor(m: int, lam: np.ndarray) -> np.ndarray:
     raise DomainError("direct quadrature supports m in {1, 2, 3}")
 
 
+def _kernel_edges(m: int, sc: complex, r: float, lam: float,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """Panel edges in v = log x for the Bessel-kernel coefficient integrals
+    of phi_on_na and lorentz.coefficient_pairing; lam is the plane wave's
+    oscillation rate in x."""
+    depth = -math.log(spec.absolute_tolerance) + spec.truncation_margin
+    v_min = -depth / (m - 2.0 * abs(sc.real))
+    v_max = math.log(max(depth / (1.0 + math.exp(r)), 1e-3))
+    t_osc = 2.0 * abs(sc.imag)
+    return oscillation_edges(
+        v_min, v_max, lambda v: lam * math.exp(v) + t_osc, base_width=0.8
+    )
+
+
 def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """phi_s(a_r n_y) through the Bessel-kernel coefficient integral.
 
@@ -339,35 +351,19 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     y_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float))))
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave
 
-    sigma = abs(sc.real)
-    decay_left = m - 2.0 * sigma
-    depth = -math.log(spec.absolute_tolerance) + spec.truncation_margin
-    v_min = -depth / decay_left
-    x_max = depth / (1.0 + math.exp(r))
-    v_max = math.log(max(x_max, 1e-3))
-
-    t_osc = 2.0 * abs(sc.imag)
-    edges = oscillation_edges(
-        v_min, v_max, lambda v: lam * math.exp(v) + t_osc, base_width=0.8
-    )
-
+    edges = _kernel_edges(m, sc, r, lam, spec)
     scale = math.exp(r)
 
-    def build(edges_arr):
-        halves = 0.5 * (edges_arr[1:] - edges_arr[:-1])
-        mids = 0.5 * (edges_arr[1:] + edges_arr[:-1])
-        vs = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+    def integrand(vs):
         xs = np.exp(vs)
         k_near = bessel_k_many(sc, xs, spec)
         k_far = bessel_k_many(sc, scale * xs, spec)
-        vals = k_near * k_far * _angular_factor(m, lam * xs) * np.exp(m * vs)
-        vals = vals.reshape(len(mids), len(_GL_NODES))
-        return complex(np.sum(halves * (vals @ _GL_WEIGHTS)))
+        return k_near * k_far * _angular_factor(m, lam * xs) * np.exp(m * vs)
 
-    integral = build(edges)
+    integral = composite(integrand, edges)
     for _ in range(2):
         finer = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-        refined = build(finer)
+        refined = composite(integrand, finer)
         err = abs(integral - refined)
         edges, integral = finer, refined
         if err <= spec.relative_tolerance * max(abs(refined), spec.absolute_tolerance):

@@ -180,7 +180,7 @@ class TestBesselK:
         assert rel(sf.bessel_k(0.7j, 1.0), sf.bessel_k(-0.7j, 1.0)) < 1e-14
 
     def test_half_integer_closed_form(self):
-        for x in (0.2, 1.0, 3.7, 10.0):
+        for x in (0.2, 1.0, 3.7, 10.0, 12.0, 20.0):
             expected = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
             assert rel(sf.bessel_k(0.5, x), expected) < 1e-12
 
@@ -204,6 +204,8 @@ class TestBesselK:
             sf.bessel_k(0.3, 0.0)
         with pytest.raises(DomainError):
             sf.bessel_k(0.3, -1.0)
+        with pytest.raises(DomainError):
+            sf.bessel_k_many(0.3, [0.0, -1.0, 1.0])
 
     def test_small_x_matches_quadrature(self):
         # continuity across the small-argument handoff
@@ -213,11 +215,18 @@ class TestBesselK:
         assert rel(just_above, closed) < 1e-12
 
     def test_batch_matches_scalar(self):
-        nu = 0.3 - 1.1j
-        xs = np.array([1e-12, 1e-9, 0.05, 1.0, 4.0])
-        batch = sf.bessel_k_many(nu, xs)
-        singles = [sf.bessel_k(nu, float(x)) for x in xs]
-        assert max(rel(a, b) for a, b in zip(batch, singles)) < 1e-12
+        # Several runs of shared grids, shuffled, on both sides of the
+        # small-x handoff; a value must not depend on the other points.
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([np.logspace(-9.0, math.log10(40.0), 150), [0.9e-8, 1.1e-8]])
+        rng.shuffle(xs)
+        for nu in (1.3j, 0.3 - 1.1j):
+            batch = sf.bessel_k_many(nu, xs)
+            singles = np.array([sf.bessel_k(nu, float(x)) for x in xs])
+            mass = np.array([sf.bessel_k(abs(nu.real), float(x)).real for x in xs])
+            assert np.all(np.abs(batch - singles) <= 1e-14 * mass)
+            order = rng.permutation(len(xs))
+            assert np.array_equal(sf.bessel_k_many(nu, xs[order]), batch[order])
 
     def test_near_zero_of_k_it_returns(self):
         # K_1.3i(x) ~ 3e-4 sits near a zero while the integrand's L1 mass
