@@ -9,9 +9,9 @@ graph distance from the identity, spheres E_n = {|x| = n} satisfy
 |E_n| = (q+1) q^(n-1), and the radial functions (those depending only on
 |x|) form a commutative convolution algebra.
 
-Everything combinatorial is computed by explicit enumeration over balls
-(capped, raising CapacityError beyond the cap); the enumeration doubles
-as the exact oracle for all identities tested against this module.
+The radial algebra uses closed-form structure constants #{x in E_i :
+|x^-1 z| = j}, |z| = k (Figa-Talamanca and Picardello, 1983); words are
+enumerated (capped, raising CapacityError) only for word-indexed results.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class FreeProductSpec:
         return self.q + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Reduced word; letters are (factor_id, exponent) pairs."""
 
@@ -131,29 +131,34 @@ def sphere_size(spec: FreeProductSpec, n: int) -> int:
     return spec.degree * spec.q ** (n - 1)
 
 
-_SPHERE_CACHE: dict[FreeProductSpec, list[list[Word]]] = {}
+# Per spec: the spheres built so far, and {n: dict keyed by E_n} for the
+# shells bz_counts returns, so that its results reuse the stored hashes.
+_SPHERE_CACHE: dict[FreeProductSpec, tuple[list[list[Word]], dict]] = {}
+
+
+def _cached_spheres(spec: FreeProductSpec, radius: int):
+    """The cache entry of spec, with spheres through E_radius (no cap)."""
+    shells, keys = _SPHERE_CACHE.setdefault(spec, ([[IDENTITY]], {}))
+    if len(shells) <= radius:
+        letters = sorted(g.letters[0] for g in generators(spec))
+        after = {(): letters}
+        for a in letters:
+            after[(a,)] = [b for b in letters if not _cancels(spec, a, b)]
+        while len(shells) <= radius:
+            shells.append([Word(w.letters + (b,))
+                           for w in shells[-1] for b in after[w.letters[-1:]]])
+    return shells, keys
 
 
 def spheres(spec: FreeProductSpec, radius: int,
             cap: int = DEFAULT_SPHERE_CAP) -> list[list[Word]]:
-    """Enumerate E_0 .. E_radius by breadth-first search (cached per spec)."""
+    """E_0 .. E_radius sorted by letters: E_n extended by non-cancelling letters."""
     if radius < 0:
         raise DomainError("radius must be nonnegative")
     for n in range(1, radius + 1):
         if sphere_size(spec, n) > cap:
             raise CapacityError(f"sphere E_{n} would exceed the cap of {cap} words")
-    out = _SPHERE_CACHE.setdefault(spec, [[IDENTITY]])
-    gens = generators(spec)
-    while len(out) <= radius:
-        n = len(out) - 1
-        nxt = set()
-        for w in out[-1]:
-            for g in gens:
-                wg = multiply(spec, w, g)
-                if len(wg) == n + 1:
-                    nxt.add(wg)
-        out.append(sorted(nxt, key=lambda w: w.letters))
-    return out[: radius + 1]
+    return _cached_spheres(spec, radius)[0][: radius + 1]
 
 
 def representative(spec: FreeProductSpec, n: int) -> Word:
@@ -228,37 +233,36 @@ def expand(spec: FreeProductSpec, f: RadialFn,
     return out
 
 
-def _shell_distribution(spec: FreeProductSpec, i: int, z: Word,
-                        cap: int) -> dict[int, int]:
-    """Counts {j: #{x in E_i with |x^-1 z| = j}}."""
-    dist: dict[int, int] = {}
-    for x in spheres(spec, i, cap)[i]:
-        j = len(multiply(spec, inverse(spec, x), z))
-        dist[j] = dist.get(j, 0) + 1
-    return dist
+def _shell_counts(spec: FreeProductSpec, i: int, k: int) -> dict[int, int]:
+    """{j: #{x in E_i : |x^-1 z| = j}} for |z| = k, counted by branch point.
+
+    x leaves the geodesic from e to z after p = lcp(x, z) letters, so
+    |x^-1 z| = i + k - 2p; q^(i-p) words of E_i share the first p >= 1.
+    """
+    top = min(i, k)
+    at_least = [sphere_size(spec, i)] + [spec.q ** (i - p) for p in range(1, top + 1)]
+    at_least.append(0)
+    return {i + k - 2 * p: at_least[p] - at_least[p + 1] for p in range(top + 1)}
 
 
 def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec,
                     cap: int = DEFAULT_SPHERE_CAP) -> RadialFn:
     """Convolution of the induced functions, computed per shell.
 
-    (f * g)(z) = sum_x f(x) g(x^-1 z) depends only on |z| because the
-    radial algebra is commutative; each shell value is obtained by
-    enumerating the spheres in the support of f against one
-    representative z.  Exact (integer / Fraction) inputs stay exact.
+    (f * g)(z) = sum_x f(x) g(x^-1 z) depends only on |z| = k: it is the
+    sum over i, j of f(i) g(j) #{x in E_i : |x^-1 z| = j}, with these
+    structure constants in closed form.  Exact (integer / Fraction)
+    inputs stay exact.  The cap bounds E_i over the support of f.
     """
     if not f.shells or not g.shells:
         return RadialFn.from_dict({})
-    max_shell = f.max_shell + g.max_shell
     if sphere_size(spec, max(f.max_shell, 1)) > cap:
         raise CapacityError("convolution support exceeds the enumeration cap")
     out = {}
-    for k in range(max_shell + 1):
-        z = representative(spec, k)
+    for k in range(f.max_shell + g.max_shell + 1):
         total = 0
         for i, fv in f.shells:
-            dist = _shell_distribution(spec, i, z, cap)
-            for j, count in dist.items():
+            for j, count in _shell_counts(spec, i, k).items():
                 gv = g(j)
                 if gv != 0:
                     total = total + fv * gv * count
@@ -273,21 +277,19 @@ def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
 
     For B = {(s, t): |s| = |x|, |t| = |y|, |t^-1 s| = |y^-1 x|} returns
     {z: #{(s, t) in B : t^-1 s = z}}, one entry per z of length
-    |y^-1 x|.  All counts are equal, and each equals the convolution of
-    the two sphere indicators evaluated at z.
+    |y^-1 x|.  All counts equal the closed-form #{u in E_|y| : |u^-1 z| =
+    |x|}, the convolution of the two sphere indicators at z; the cap
+    bounds E_|x| and E_|y|.
     """
     target = len(multiply(spec, inverse(spec, y), x))
     if max(len(x), len(y), target) > ball_radius:
         raise DomainError("words exceed the declared ball radius")
-    shells_list = spheres(spec, max(len(x), len(y)), cap)
-    counts: dict[Word, int] = {}
-    for t in shells_list[len(y)]:
-        t_inv = inverse(spec, t)
-        for s_w in shells_list[len(x)]:
-            z = multiply(spec, t_inv, s_w)
-            if len(z) == target:
-                counts[z] = counts.get(z, 0) + 1
-    return counts
+    spheres(spec, max(len(x), len(y)), cap)
+    count = _shell_counts(spec, len(y), target)[len(x)]
+    shells, keys = _cached_spheres(spec, target)
+    if target not in keys:
+        keys[target] = dict.fromkeys(shells[target])
+    return dict.fromkeys(keys[target], count)
 
 
 def radialize_two_point(spec: FreeProductSpec, h: dict, x: Word, y: Word,
@@ -337,26 +339,17 @@ def multiplicative_shell_function(spec: FreeProductSpec, alpha,
                                   cap: int = DEFAULT_SPHERE_CAP) -> RadialFn:
     """Shell function making f -> <f, phi> multiplicative on radial f.
 
-    Built recursively from the convolution table of the first-shell
-    indicator: phi(0) = 1, phi(1) = alpha, and each higher shell value is
-    forced by <chi_1 * chi_n, phi> = <chi_1, phi><chi_n, phi>.  With a
-    Fraction alpha the construction is exact.
+    phi(0) = 1, phi(1) = alpha, and <chi_1 * chi_n, phi> =
+    <chi_1, phi><chi_n, phi> forces the rest: with chi_1 * chi_n =
+    chi_(n+1) + q chi_(n-1) (q + 1 at n = 1), u_n = |E_n| phi(n) obeys
+    u_(n+1) = u_1 u_n - |E_n| phi(n-1).  A Fraction alpha stays exact.
     """
     values = {0: Fraction(1) if isinstance(alpha, Rational) else 1.0, 1: alpha}
+    if max_shell > 1 and sphere_size(spec, 1) > cap:
+        raise CapacityError("convolution support exceeds the enumeration cap")
+    u1 = sphere_size(spec, 1) * alpha
     for n in range(1, max_shell):
-        conv = radial_convolve(shell_indicator(1), shell_indicator(n), spec, cap)
-        u1 = sphere_size(spec, 1) * values[1]
         un = sphere_size(spec, n) * values[n]
-        known = 0
-        lead = None
-        for k, cv in conv.shells:
-            if k <= n:
-                known = known + cv * sphere_size(spec, k) * values[k]
-            elif k == n + 1:
-                lead = cv * sphere_size(spec, n + 1)
-            else:
-                raise DomainError("unexpected convolution support")
-        if lead is None:
-            raise DomainError("convolution table does not reach the next shell")
-        values[n + 1] = (u1 * un - known) / lead
+        values[n + 1] = ((u1 * un - sphere_size(spec, n) * values[n - 1])
+                         / sphere_size(spec, n + 1))
     return RadialFn.from_dict(values)

@@ -1,8 +1,10 @@
 """Free-product word arithmetic and radial convolution combinatorics."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,83 @@ SPEC02 = tr.FreeProductSpec(0, 2)
 SPEC11 = tr.FreeProductSpec(1, 1)
 SPEC21 = tr.FreeProductSpec(2, 1)
 ALL_SPECS = (SPEC30, SPEC40, SPEC02, SPEC11, SPEC21)
+
+
+# Enumeration oracles: the word-by-word constructions the closed forms in
+# sphmult.tree replace.
+
+
+@functools.lru_cache(maxsize=None)
+def bfs_spheres(spec, radius):
+    """E_0 .. E_radius by breadth-first search, each sorted by letters."""
+    out = [[tr.IDENTITY]]
+    gens = tr.generators(spec)
+    for n in range(radius):
+        nxt = set()
+        for w in out[-1]:
+            for g in gens:
+                wg = tr.multiply(spec, w, g)
+                if len(wg) == n + 1:
+                    nxt.add(wg)
+        out.append(sorted(nxt, key=lambda w: w.letters))
+    return out
+
+
+def enumerated_shell_distribution(spec, i, z):
+    """{j: #{x in E_i with |x^-1 z| = j}} by enumerating E_i."""
+    dist = {}
+    for x in bfs_spheres(spec, i)[i]:
+        j = len(tr.multiply(spec, tr.inverse(spec, x), z))
+        dist[j] = dist.get(j, 0) + 1
+    return dist
+
+
+def enumerated_convolve(f, g, spec):
+    """radial_convolve by enumerating the spheres in the support of f."""
+    out = {}
+    for k in range(f.max_shell + g.max_shell + 1):
+        z = tr.representative(spec, k)
+        total = 0
+        for i, fv in f.shells:
+            for j, count in enumerated_shell_distribution(spec, i, z).items():
+                gv = g(j)
+                if gv != 0:
+                    total = total + fv * gv * count
+        if total != 0:
+            out[k] = total
+    return tr.RadialFn.from_dict(out)
+
+
+def enumerated_bz_counts(spec, x, y, shells):
+    """bz_counts by enumerating every pair of E_|y| x E_|x|."""
+    target = len(tr.multiply(spec, tr.inverse(spec, y), x))
+    counts = {}
+    for t in shells[len(y)]:
+        t_inv = tr.inverse(spec, t)
+        for s_w in shells[len(x)]:
+            z = tr.multiply(spec, t_inv, s_w)
+            if len(z) == target:
+                counts[z] = counts.get(z, 0) + 1
+    return counts
+
+
+def forced_shell_function(spec, alpha, max_shell):
+    """multiplicative_shell_function forced shell by shell from the
+    enumerated convolution table of the first-shell indicator."""
+    values = {0: Fraction(1) if isinstance(alpha, Rational) else 1.0, 1: alpha}
+    for n in range(1, max_shell):
+        conv = enumerated_convolve(tr.shell_indicator(1), tr.shell_indicator(n), spec)
+        u1 = tr.sphere_size(spec, 1) * values[1]
+        un = tr.sphere_size(spec, n) * values[n]
+        known = 0
+        lead = None
+        for k, cv in conv.shells:
+            if k <= n:
+                known = known + cv * tr.sphere_size(spec, k) * values[k]
+            elif k == n + 1:
+                lead = cv * tr.sphere_size(spec, n + 1)
+        values[n + 1] = (u1 * un - known) / lead
+    return tr.RadialFn.from_dict(values)
 
 
 def letters_strategy(spec, max_len=8):
@@ -119,6 +198,15 @@ class TestSpheres:
         with pytest.raises(CapacityError):
             tr.spheres(SPEC02, 9, cap=100)
 
+    def test_matches_breadth_first_search(self):
+        # cold and grown caches give the BFS lists, order included
+        for spec in ALL_SPECS:
+            tr._SPHERE_CACHE.pop(spec, None)
+            assert tr.spheres(spec, 6) == bfs_spheres(spec, 6)
+            tr._SPHERE_CACHE.pop(spec, None)
+            tr.spheres(spec, 2)
+            assert tr.spheres(spec, 6) == bfs_spheres(spec, 6)
+
     def test_representative_lengths(self):
         for spec in ALL_SPECS:
             for n in range(7):
@@ -198,6 +286,27 @@ class TestRadialConvolve:
             tr.radial_convolve(f, f, SPEC30, cap=2)
         assert isinstance(excinfo.value, OverflowError)
 
+    def test_matches_enumeration(self):
+        for spec in ALL_SPECS:
+            for i in range(6):
+                for j in range(6):
+                    f, g = tr.shell_indicator(i), tr.shell_indicator(j)
+                    conv = tr.radial_convolve(f, g, spec)
+                    assert conv == enumerated_convolve(f, g, spec)
+                    assert all(type(v) is int for _, v in conv.shells)
+
+    def test_matches_enumeration_rational(self):
+        rng = random.Random(11)
+        for spec in (SPEC30, SPEC21):
+            for _ in range(3):
+                f = tr.RadialFn.from_dict(
+                    {n: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for n in range(4)}
+                )
+                g = tr.RadialFn.from_dict({n: rng.randint(-6, 6) for n in range(4)})
+                conv = tr.radial_convolve(f, g, spec)
+                assert conv == enumerated_convolve(f, g, spec)
+                assert all(type(v) is Fraction for _, v in conv.shells)
+
     def test_enumeration_oracle_shell_values(self):
         # brute force over the full ball reproduces the per-shell values
         spec = SPEC30
@@ -248,6 +357,34 @@ class TestPairCounts:
         with pytest.raises(DomainError):
             tr.bz_counts(SPEC30, tr.representative(SPEC30, 3), tr.IDENTITY, 2)
 
+    def test_matches_enumeration_on_ball(self):
+        for spec in (SPEC30, SPEC11):
+            shells = bfs_spheres(spec, 3)
+            ball = [w for sh in shells for w in sh]
+            for x, y in itertools.product(ball, ball):
+                assert tr.bz_counts(spec, x, y, 6) == enumerated_bz_counts(spec, x, y, shells)
+
+    def test_matches_enumeration_sample(self):
+        rng = random.Random(12)
+        for spec in (SPEC40, SPEC02, SPEC21):
+            shells = bfs_spheres(spec, 3)
+            ball = [w for sh in shells for w in sh]
+            for _ in range(200):
+                x, y = rng.choice(ball), rng.choice(ball)
+                assert tr.bz_counts(spec, x, y, 6) == enumerated_bz_counts(spec, x, y, shells)
+
+    def test_cap_bounds_the_factor_spheres_not_the_target(self):
+        spec = SPEC30
+        x = tr.word(spec, [(0, 1), (1, 1)])
+        y = tr.word(spec, [(1, 1), (0, 1)])
+        shells = bfs_spheres(spec, 2)
+        # |E_2| = 6 fits the cap, the target sphere |E_4| = 24 does not
+        counts = tr.bz_counts(spec, x, y, 4, cap=6)
+        assert counts == enumerated_bz_counts(spec, x, y, shells)
+        assert len(counts) == tr.sphere_size(spec, 4)
+        with pytest.raises(CapacityError):
+            tr.bz_counts(spec, x, y, 4, cap=5)
+
 
 class TestTwoPointRadialization:
     def test_radial_functions_unchanged(self):
@@ -296,6 +433,31 @@ class TestPairing:
             mid = tr.pairing(f_rad, phi_rad)
             rhs = tr.pairing(f, phi_rad)
             assert lhs == mid == rhs
+
+    def test_shell_function_matches_forced_construction(self):
+        alphas = (Fraction(1, 4), Fraction(-3, 7), Fraction(5, 2), 0.3, -0.7, 1 / 3, 2.5)
+        for spec in ALL_SPECS:
+            for alpha in alphas:
+                got = tr.multiplicative_shell_function(spec, alpha, 8)
+                want = forced_shell_function(spec, alpha, 8)
+                assert [n for n, _ in got.shells] == [n for n, _ in want.shells]
+                for (_, a), (_, b) in zip(got.shells, want.shells):
+                    assert type(a) is type(b)
+                    if isinstance(a, float):
+                        assert a.hex() == b.hex()
+                    else:
+                        assert a == b
+
+    def test_shell_function_capacity(self):
+        spec = SPEC02
+        q = spec.q
+        with pytest.raises(CapacityError):
+            tr.multiplicative_shell_function(spec, Fraction(1, 3), 2, cap=q)
+        # no shell beyond the first is forced, so E_1 need not fit
+        assert tr.multiplicative_shell_function(spec, Fraction(1, 3), 1, cap=q).as_dict() == {
+            0: 1, 1: Fraction(1, 3)
+        }
+        tr.multiplicative_shell_function(spec, Fraction(1, 3), 2, cap=q + 1)
 
     def test_character_property(self):
         rng = random.Random(10)
