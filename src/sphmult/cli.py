@@ -3,10 +3,11 @@
 Four subcommands:
 
 * ``norm-table``  -- multiplier-norm table over a (sigma, t) grid (SO0 only),
+                     computed serially (``--workers`` is accepted and ignored),
 * ``eval``        -- one spherical value by every applicable method,
 * ``verify``      -- the cross-validation suite with a JSON report,
 * ``tree``        -- homogeneous-tree sphere sizes, convolution table and
-                     pair-count constancy verdict.
+                     pair-count verdict (closed form against a direct count).
 
 Flag values override config-file values, which override defaults.  Exit
 codes: 0 success, 1 verification/capacity failure, 2 usage or config
@@ -19,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import groups, spherical, tree, verify
@@ -47,7 +47,7 @@ class RunConfig:
     m_factors: int = 3
     n_factors: int = 0
     radius: int = 4
-    workers: int = 4
+    workers: int = 4  # accepted and ignored: norm-table is serial
 
 
 def _parse_range(text: str) -> list[float]:
@@ -124,9 +124,7 @@ def cmd_norm_table(config: RunConfig) -> int:
     group = groups.params_for(config.family, config.n)
     sigmas = _parse_range(config.sigma_range)
     ts = _parse_range(config.t_range)
-    grid = [(sigma, t) for sigma in sigmas for t in ts]
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        rows = list(pool.map(lambda p: _norm_row(group.m, *p), grid))
+    rows = [_norm_row(group.m, sigma, t) for sigma in sigmas for t in ts]
     if config.format == "csv":
         lines = ["sigma,t,norm,status"]
         for row in rows:
@@ -229,25 +227,19 @@ def cmd_tree(config: RunConfig) -> int:
     shells = tree.spheres(spec, config.radius)
     sizes = [len(s) for s in shells]
     formula = [tree.sphere_size(spec, n) for n in range(config.radius + 1)]
-    conv_shell = min(config.radius, 3)
+    shell = min(config.radius, 3)
     table = {}
-    for i in range(1, conv_shell + 1):
-        for j in range(i, conv_shell + 1):
+    for i in range(1, shell + 1):
+        for j in range(i, shell + 1):
             conv = tree.radial_convolve(
                 tree.shell_indicator(i), tree.shell_indicator(j), spec
             )
             table[f"chi_{i}*chi_{j}"] = {str(k): int(v) for k, v in conv.shells}
-    bz_radius = min(config.radius, 3)
-    constant = True
-    for lx in range(1, bz_radius + 1):
-        for ly in range(1, bz_radius + 1):
-            counts = tree.bz_counts(
-                spec,
-                tree.representative(spec, lx),
-                tree.representative(spec, ly),
-                bz_radius + 1,
-            )
-            constant &= len(set(counts.values())) == 1
+    reps = [tree.representative(spec, n) for n in range(1, shell + 1)]
+    constant = all(
+        tree.bz_counts(spec, x, y, shell + 1) == tree.direct_pair_counts(spec, x, y)
+        for x in reps for y in reps
+    )
     report = {
         "factors": {"involutive": spec.involutive, "free": spec.free},
         "degree": spec.degree,
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--n", type=int, help="rank parameter n >= 2")
     p_norm.add_argument("--sigma-range", dest="sigma_range", help="a:b:steps")
     p_norm.add_argument("--t-range", dest="t_range", help="a:b:steps")
-    p_norm.add_argument("--workers", type=int, help="worker pool size")
+    p_norm.add_argument("--workers", type=int, help="accepted and ignored (runs serially)")
 
     p_eval = sub.add_parser("eval", help="evaluate one spherical value")
     add_common(p_eval)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError
 from .groups import StripPosition, as_spectral, classify
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
 from .specfun import bessel_k_many, gamma
 from .spherical import _c_m, _kernel_edges
 
@@ -187,7 +187,8 @@ def phi_via_rho(n: int, s, g: LorentzMatrix,
     """Coefficient <rho_s(g) 1, 1> by sphere quadrature, for n in {2, 3}.
 
     This is the representation-theoretic route to phi_s and serves as the
-    cross-module oracle for the hypergeometric evaluation.
+    cross-module oracle for the hypergeometric evaluation.  Raises
+    ConvergenceError when six node doublings do not settle.
     """
     if n not in (2, 3):
         raise DomainError("phi_via_rho supports n in {2, 3}")
@@ -205,15 +206,10 @@ def phi_via_rho(n: int, s, g: LorentzMatrix,
         return np.exp(expo * np.log(w0))
 
     nodes = 128 if m == 1 else 48
-    value = sphere_quadrature(m, integrand, nodes)
-    for _ in range(6):
-        nodes *= 2
-        refined = sphere_quadrature(m, integrand, nodes)
-        err = abs(refined - value)
-        value = refined
-        if err <= spec.relative_tolerance * max(abs(refined), spec.absolute_tolerance):
-            return value
-    return value
+    return refine(
+        lambda k: sphere_quadrature(m, integrand, nodes * 2**k),
+        6, spec, "phi_via_rho sphere quadrature",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -145,18 +145,27 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel(), halves
 
 
-def composite(
-    f: Callable,
-    edges: np.ndarray,
-    *,
-    vectorized: bool = True,
-) -> complex:
-    """Non-adaptive composite Gauss-Legendre over the given panel edges."""
-    if not vectorized:
-        f = _as_vectorized(f)
+def composite(f: Callable, edges: np.ndarray) -> complex:
+    """Non-adaptive composite Gauss-Legendre of a vectorized f over the panel edges."""
     xs, halves = _panel_nodes(edges)
     ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
     return complex(np.sum(halves * (ys @ _GL_WEIGHTS)))
+
+
+def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> complex:
+    """estimate(k) for the first k in 1..levels within relative_tolerance *
+    max(|estimate(k)|, absolute_tolerance) of estimate(k - 1); otherwise
+    ConvergenceError with the last estimate and difference."""
+    value = estimate(0)
+    for k in range(1, levels + 1):
+        finer = estimate(k)
+        err = abs(value - finer)
+        value = finer
+        if err <= spec.relative_tolerance * max(abs(finer), spec.absolute_tolerance):
+            return value
+    raise ConvergenceError(
+        f"{what} did not converge", best_estimate=value, achieved_error=err
+    )
 
 
 def oscillation_edges(a: float, b: float, rate: Callable[[float], float],

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _GL_WEIGHTS, _panel_nodes, composite
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _GL_WEIGHTS, _panel_nodes,
+                         composite, refine)
 
 SPECIAL_RTOL = 1e-12
 MAX_SERIES_TERMS = 100_000
@@ -477,15 +478,7 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
         k2 = np.conjugate(k1) if conjugate_pair else bessel_k_many(mu, rs, spec)
         return k1 * k2 * np.exp((power + 1.0) * vs)
 
-    val = composite(integrand, np.linspace(v_min, v_max, n + 1))
-    for _ in range(3):
-        val2 = composite(integrand, np.linspace(v_min, v_max, 2 * n + 1))
-        err = abs(val - val2)
-        n, val = 2 * n, val2
-        if err <= spec.relative_tolerance * max(abs(val2), spec.absolute_tolerance):
-            return val
-    raise ConvergenceError(
-        "bessel moment quadrature did not converge",
-        best_estimate=val,
-        achieved_error=err,
+    return refine(
+        lambda k: composite(integrand, np.linspace(v_min, v_max, n * 2**k + 1)),
+        3, spec, "bessel moment quadrature",
     )

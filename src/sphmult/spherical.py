@@ -40,6 +40,7 @@ from .quadrature import (
     composite,
     integrate,
     oscillation_edges,
+    refine,
 )
 from .specfun import (
     SPECIAL_RTOL,
@@ -48,13 +49,11 @@ from .specfun import (
     bessel_k_many,
     bessel_product_moment,
     gamma,
-    hyp2f1,
 )
 
 
 class EvalMethod(Enum):
     HYPERGEOMETRIC_STABLE = "hypergeometric_stable"
-    HYPERGEOMETRIC_DIRECT = "hypergeometric_direct"
     INTEGRAL_QUADRATURE = "integral_quadrature"
     ASYMPTOTIC = "asymptotic"
 
@@ -85,8 +84,15 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     """Spherical function phi_s(a_r) on the given rank-one group.
 
     Any real r and complex s are accepted; evaluation symmetrizes both.
-    Beyond the handoff radius (with Re s > 0) the asymptotic form is
-    used; the relative error of the handoff itself is below e^-40.
+    Beyond the handoff radius max(8, 20/Re s) (Re s > 0) the leading
+    term c(s) e^((s - m/2) r) is used; at s = 2.5, r = 8.01 its relative
+    error against mpmath is 2.5e-6 on F4(-20), 3.7e-7 on Sp(1,2) and
+    7.4e-8 on SU(1,3) (ROADMAP item 3).  Otherwise the stable
+    hypergeometric form is used; where it fails, SO0 falls back to
+    ``phi_lorentz_integral`` for r <= 25 (its documented range) and
+    everything else raises ConvergenceError.  Re s = 0 beyond r of about
+    373 is unsupported for now: sech^2 r underflows there, and the
+    two-term Harish-Chandra form that would cover it is ROADMAP item 3.
     """
     m, m0 = group.m, group.m0
     sc = complex(as_spectral(s).value)
@@ -105,19 +111,12 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     w = math.exp(-2.0 * _log_cosh(rr))
     try:
         f = _hyp2f1_zw(a, b, c, z, w, SPECIAL_RTOL)
-        return SphericalValue(
-            _cosh_pow(rr, sc - m / 2.0) * f, EvalMethod.HYPERGEOMETRIC_STABLE
-        )
     except ConvergenceError:
-        pass
-    try:
-        f = hyp2f1(m / 4.0 + sc / 2.0, m / 4.0 - sc / 2.0, c, -math.sinh(rr) ** 2)
-        return SphericalValue(f, EvalMethod.HYPERGEOMETRIC_DIRECT)
-    except ConvergenceError:
-        if m0 == m + 2:
-            val = phi_lorentz_integral(m, sc, rr, DEFAULT_SPEC)
-            return SphericalValue(val, EvalMethod.INTEGRAL_QUADRATURE)
-        raise
+        if m0 != m + 2 or rr > 25.0:
+            raise
+        val = phi_lorentz_integral(m, sc, rr, DEFAULT_SPEC)
+        return SphericalValue(val, EvalMethod.INTEGRAL_QUADRATURE)
+    return SphericalValue(_cosh_pow(rr, sc - m / 2.0) * f, EvalMethod.HYPERGEOMETRIC_STABLE)
 
 
 def phi_lorentz_integral(m: int, s, r: float,
@@ -339,7 +338,8 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
 
     For y = 0 this reproduces phi_s(a_r); for r = 0 it is the Fourier
     transform of the squared-Bessel kernel at y.  Supports m in {1,2,3}
-    and s in the open strip.
+    and s in the open strip.  Raises ConvergenceError, with the estimate
+    in the same units, when two panel bisections do not settle.
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -360,14 +360,11 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
         k_far = bessel_k_many(sc, scale * xs, spec)
         return k_near * k_far * _angular_factor(m, lam * xs) * np.exp(m * vs)
 
-    integral = composite(integrand, edges)
-    for _ in range(2):
-        finer = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-        refined = composite(integrand, finer)
-        err = abs(integral - refined)
-        edges, integral = finer, refined
-        if err <= spec.relative_tolerance * max(abs(refined), spec.absolute_tolerance):
-            break
+    def estimate(k):
+        e = edges
+        for _ in range(k):
+            e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
+        return composite(integrand, e)
 
     pref = (
         math.pi ** (-m / 2.0)
@@ -376,7 +373,12 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
         * gamma(float(m)).real
         / (gamma(m / 2.0).real * gamma(m / 2.0 + sc) * gamma(m / 2.0 - sc))
     )
-    return pref * integral
+    try:
+        return pref * refine(estimate, 2, spec, "phi_on_na quadrature")
+    except ConvergenceError as exc:
+        exc.best_estimate *= pref
+        exc.achieved_error *= abs(pref)
+        raise
 
 
 def cesaro_extract(phi_map, x0: float, n: int) -> complex:

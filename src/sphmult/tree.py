@@ -16,6 +16,7 @@ enumerated (capped, raising CapacityError) only for word-indexed results.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -290,6 +291,16 @@ def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
     if target not in keys:
         keys[target] = dict.fromkeys(shells[target])
     return dict.fromkeys(keys[target], count)
+
+
+def direct_pair_counts(spec: FreeProductSpec, x: Word, y: Word) -> Counter:
+    """The pair counts of ``bz_counts`` by multiplying out every (s, t) in
+    E_|x| x E_|y|: the independent check on its closed form."""
+    target = len(multiply(spec, inverse(spec, y), x))
+    shells = spheres(spec, max(len(x), len(y)))
+    inverses = [inverse(spec, t) for t in shells[len(y)]]
+    products = (multiply(spec, t_inv, s) for t_inv in inverses for s in shells[len(x)])
+    return Counter(z for z in products if len(z) == target)
 
 
 def radialize_two_point(spec: FreeProductSpec, h: dict, x: Word, y: Word,

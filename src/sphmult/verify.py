@@ -15,7 +15,6 @@ duplication-check failure.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -289,11 +288,7 @@ def _check_tree_suite(_gam) -> float:
                 )
         x = tree.representative(spec, 2)
         y = tree.representative(spec, 1)
-        target = len(tree.multiply(spec, tree.inverse(spec, y), x))
-        products = (tree.multiply(spec, tree.inverse(spec, t), s_w)
-                    for t in shells[1] for s_w in shells[2])
-        direct = Counter(z for z in products if len(z) == target)
-        ok &= tree.bz_counts(spec, x, y, 3) == direct
+        ok &= tree.bz_counts(spec, x, y, 3) == tree.direct_pair_counts(spec, x, y)
     return 0.0 if ok else 1.0
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sphmult import tree
 from sphmult.cli import main
 
 
@@ -133,6 +134,15 @@ class TestEval:
         assert data["cb_norm"] is None
         assert data["cb_norm_status"] == "NOT_MULTIPLIER"
 
+    def test_unsupported_point_is_runtime_failure(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--family", "su", "--n", "2",
+            "--sigma", "0", "--t", "0.3", "--r", "400",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "eval", "--family", "e8", "--sigma", "0", "--t", "0")
         assert code == 2
@@ -208,6 +218,19 @@ class TestTree:
         assert data["sphere_sizes"] == [1, 4, 12, 36]
         assert data["sizes_match_formula"] is True
         assert data["pair_counts_constant"] is True
+
+    def test_wrong_pair_counts_fail(self, capsys, monkeypatch):
+        closed_form = tree.bz_counts
+
+        def off_by_one(*args):
+            return {z: c + 1 for z, c in closed_form(*args).items()}
+
+        monkeypatch.setattr(tree, "bz_counts", off_by_one)
+        code, out, _ = run(
+            capsys, "tree", "--m-factors", "3", "--n-factors", "0", "--radius", "3"
+        )
+        assert code == 1
+        assert "pair counts constant on each shell: NO" in out
 
     def test_too_small_product_rejected(self, capsys):
         code, _, _ = run(capsys, "tree", "--m-factors", "1", "--n-factors", "0")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sphmult import groups, lorentz as lz, spherical as sph
-from sphmult.errors import DomainError, InvariantError
+from sphmult.errors import ConvergenceError, DomainError, InvariantError
 from sphmult.quadrature import QuadratureSpec, integrate
 
 TIGHT = QuadratureSpec(1e-10, 1e-15, 60000, 5.0)
@@ -307,6 +307,13 @@ class TestPhiViaRho:
     def test_unsupported_rank(self):
         with pytest.raises(DomainError):
             lz.phi_via_rho(4, 0.2, lz.make_a(1.0, 4))
+
+    def test_unconverged_refinement_raises(self):
+        s, g = 0.3 + 0.6j, lz.make_a(1.2, 2)
+        with pytest.raises(ConvergenceError) as excinfo:
+            lz.phi_via_rho(2, s, g, QuadratureSpec(relative_tolerance=1e-17))
+        assert abs(excinfo.value.best_estimate - lz.phi_via_rho(2, s, g)) < 1e-6
+        assert excinfo.value.achieved_error < 1e-6
 
 
 class TestFhatCheck:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphmult import groups, spherical as sph
-from sphmult.errors import DomainError, NotAMultiplierError
+from sphmult.errors import ConvergenceError, DomainError, NotAMultiplierError
 from sphmult.quadrature import QuadratureSpec, integrate
 from sphmult.specfun import bessel_product_moment, gamma
 
@@ -95,6 +95,14 @@ class TestPhi:
         mid = sph.phi(SO14, 1.0, 3.0)
         assert mid.method is sph.EvalMethod.HYPERGEOMETRIC_STABLE
         assert rel(complex(mid), sph.phi_lorentz_integral(3, 1.0, 3.0, TIGHT)) < 1e-8
+
+    def test_axis_beyond_underflow_raises(self):
+        # Re s = 0 and r = 400: sech^2 r underflows, the stable form fails
+        # and r is outside the SO0 quadrature's range, so nothing answers
+        for group in (SO12, groups.params_for("su", 2)):
+            for s in (0.0, 0.3j):
+                with pytest.raises(ConvergenceError):
+                    sph.phi(group, s, 400.0)
 
 
 class TestUsefulFormulaForms:
@@ -390,6 +398,14 @@ class TestPhiOnNA:
         loose = QuadratureSpec(1e-6, 1e-8, 20000, 5.0)
         val = sph.phi_on_na(3, 0.1 + 0.5j, 0.0, [25.0, 0.0, 0.0], loose)
         assert abs(val) < 1e-3
+
+    def test_unconverged_refinement_raises(self):
+        s = 0.2 + 0.5j
+        with pytest.raises(ConvergenceError) as excinfo:
+            sph.phi_on_na(1, s, 0.7, 0.4, QuadratureSpec(relative_tolerance=1e-17))
+        # the estimate carries the prefactor, like a returned value
+        assert rel(excinfo.value.best_estimate, sph.phi_on_na(1, s, 0.7, 0.4)) < 1e-6
+        assert excinfo.value.achieved_error < 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):
