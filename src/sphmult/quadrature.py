@@ -3,8 +3,11 @@
 A single engine backs every numerical integral in the package: 15-point
 Gauss-Legendre panels refined by bisection, with the per-panel error taken
 as the difference between a panel estimate and the sum of its two halves.
-Semi-infinite domains are truncated from a caller-declared exponential
-decay envelope; the truncation point is pushed out by
+The integrand is called once to seed (eight panels and their sixteen
+halves, 360 nodes) and once per bisection (the four new quarter panels,
+60 nodes); the two children reuse the parent's halves as their coarse
+estimates.  Semi-infinite domains are truncated from a caller-declared
+exponential decay envelope; the truncation point is pushed out by
 ``truncation_margin`` so the discarded tail sits safely below the
 absolute tolerance.
 """
@@ -49,12 +52,22 @@ def _as_vectorized(f: Callable) -> Callable:
     return wrapped
 
 
-def _panel(f, a, b):
-    """15-point Gauss-Legendre estimate on [a, b]."""
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _GL_NODES
-    ys = np.asarray(f(xs), dtype=complex)
-    return half * np.dot(_GL_WEIGHTS, ys)
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of every panel, flattened, and the panel half-widths."""
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel(), halves
+
+
+def _estimates(f: Callable, *edge_runs: np.ndarray) -> list:
+    """Gauss-Legendre estimates on the panels of each run of edges, in order,
+    from one call of the vectorized f."""
+    built = [_panel_nodes(edges) for edges in edge_runs]
+    xs = np.concatenate([nodes for nodes, _ in built])
+    halves = np.concatenate([h for _, h in built])
+    ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
+    # One np.dot per panel: a matrix product would sum in another order.
+    return [h * np.dot(_GL_WEIGHTS, y) for h, y in zip(halves, ys)]
 
 
 def integrate(
@@ -72,6 +85,11 @@ def integrate(
     rate lambda such that |f(x)| decays at least like exp(-lambda*x); the
     domain is then truncated where that envelope falls below the absolute
     tolerance.  Set ``vectorized=True`` when ``f`` accepts numpy arrays.
+
+    ``f`` is called 1 + R times for R bisections: once on the 360 nodes
+    of the eight seed panels and their halves, then once on the 60 nodes
+    of the four quarter panels of each bisected panel, whose halves
+    become the children's coarse estimates.
 
     Raises ConvergenceError (with the best estimate attached) when the
     panel budget runs out before the error estimate meets the tolerance.
@@ -93,6 +111,10 @@ def integrate(
     # Seed with a handful of panels so a feature missed by one coarse
     # panel cannot fool the global error estimate.
     edges = np.linspace(a, b, 9)
+    fine_edges = np.empty(17)
+    fine_edges[0::2] = edges
+    fine_edges[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    seeds = _estimates(f, edges, fine_edges)
     heap = []
     counter = 0
     total = 0.0 + 0.0j
@@ -100,12 +122,8 @@ def integrate(
     n_panels = 0
     min_width = (b - a) * 1e-14
 
-    def push(lo, hi):
+    def push(lo, hi, coarse, left, right):
         nonlocal counter, total, total_err, n_panels
-        coarse = _panel(f, lo, hi)
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
         fine = left + right
         err = abs(coarse - fine)
         if hi - lo < min_width:
@@ -116,8 +134,8 @@ def integrate(
         counter += 1
         n_panels += 3
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        push(lo, hi)
+    for k in range(8):
+        push(edges[k], edges[k + 1], seeds[k], seeds[8 + 2 * k], seeds[9 + 2 * k])
 
     while total_err > max(spec.relative_tolerance * abs(total), spec.absolute_tolerance):
         if n_panels >= spec.max_panels:
@@ -132,17 +150,13 @@ def integrate(
         total -= fine
         total_err += neg_err  # removes the popped panel's error
         mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+        quarters = _estimates(f, np.array([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]))
+        push(lo, mid, left, *quarters[:2])
+        push(mid, hi, right, *quarters[2:])
 
     return total
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes of every panel, flattened, and the panel half-widths."""
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    return (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel(), halves
 
 
 def composite(f: Callable, edges: np.ndarray) -> complex:

@@ -1,6 +1,7 @@
 """Special-function closed forms against their independent oracles."""
 
 import cmath
+import heapq
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from sphmult import specfun as sf
 from sphmult.errors import ConvergenceError, DomainError, PoleError
-from sphmult.quadrature import QuadratureSpec, integrate
+from sphmult.quadrature import _GL_NODES, _GL_WEIGHTS, QuadratureSpec, integrate
 
 TIGHT = QuadratureSpec(1e-11, 1e-16, 60000, 5.0)
 
@@ -288,6 +289,84 @@ class TestWeberSchafheitlin:
     def test_moment_domain(self):
         with pytest.raises(DomainError):
             sf.bessel_product_moment(0.6, 0.6, -0.3)  # not integrable at 0
+
+
+def per_panel_integrate(f, a, b, spec, bisections):
+    """The adaptive rule as first written, one integrand call per panel:
+    the oracle for ``integrate``.  Appends one entry to ``bisections`` per
+    bisection."""
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        ys = np.asarray(f(0.5 * (lo + hi) + half * _GL_NODES), dtype=complex)
+        return half * np.dot(_GL_WEIGHTS, ys)
+
+    heap, total, total_err, n_panels = [], 0.0 + 0.0j, 0.0, 0
+    min_width = (b - a) * 1e-14
+
+    def push(lo, hi):
+        nonlocal total, total_err, n_panels
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        fine = left + right
+        err = 0.0 if hi - lo < min_width else abs(panel(lo, hi) - fine)
+        total += fine
+        total_err += err
+        heapq.heappush(heap, (-err, n_panels, lo, hi, fine))
+        n_panels += 3
+
+    edges = np.linspace(a, b, 9)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        push(lo, hi)
+    while total_err > max(spec.relative_tolerance * abs(total), spec.absolute_tolerance):
+        if n_panels >= spec.max_panels:
+            raise ConvergenceError("budget", best_estimate=total, achieved_error=total_err)
+        neg_err, _, lo, hi, fine = heapq.heappop(heap)
+        if -neg_err <= 0.0:
+            break
+        total -= fine
+        total_err += neg_err
+        bisections.append((lo, hi))
+        mid = 0.5 * (lo + hi)
+        push(lo, mid)
+        push(mid, hi)
+    return total
+
+
+ORACLE_CASES = [
+    ("smooth", lambda t: np.exp(-t) * np.cos(5.0 * t), 0.0, 10.0, TIGHT),
+    ("peaked", lambda t: 1.0 / (1e-6 + (t - 0.3) ** 2), 0.0, 1.0, QuadratureSpec()),
+    ("oscillating", lambda t: np.cos(200.0 * t) * np.exp(1j * t), 0.0, 1.0, TIGHT),
+    ("endpoint-singular", lambda t: t ** -0.7, 0.0, 1.0, QuadratureSpec(1e-10, 1e-15, 60000, 5.0)),
+    ("log-singular", np.log, 0.0, 1.0, TIGHT),
+    ("budget", lambda t: np.abs(t - 1.0 / math.pi) ** 0.1, 0.0, 1.0,
+     QuadratureSpec(1e-14, 1e-300, 30, 5.0)),
+    ("budget-late", lambda t: np.abs(t - 1.0 / math.e) ** -0.5, 0.0, 1.0,
+     QuadratureSpec(1e-13, 1e-300, 600, 5.0)),
+]
+
+
+@pytest.mark.parametrize("name, f, a, b, spec", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_integrate_matches_per_panel_oracle(name, f, a, b, spec):
+    """Same bits and same ConvergenceError payload as one call per panel,
+    from one integrand call per seed and per bisection."""
+    calls = []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return f(xs)
+
+    bisections = []
+    try:
+        want = per_panel_integrate(f, a, b, spec, bisections)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            integrate(counted, a, b, spec, vectorized=True)
+        assert repr(complex(got.value.best_estimate)) == repr(complex(exc.best_estimate))
+        assert repr(got.value.achieved_error) == repr(exc.achieved_error)
+    else:
+        assert repr(complex(integrate(counted, a, b, spec, vectorized=True))) == repr(complex(want))
+    assert calls == [360] + [60] * len(bisections)
 
 
 class TestIntegrate:
