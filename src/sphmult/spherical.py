@@ -89,10 +89,11 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     error against mpmath is 2.5e-6 on F4(-20), 3.7e-7 on Sp(1,2) and
     7.4e-8 on SU(1,3) (ROADMAP item 3).  Otherwise the stable
     hypergeometric form is used; where it fails, SO0 falls back to
-    ``phi_lorentz_integral`` for r <= 25 (its documented range) and
-    everything else raises ConvergenceError.  Re s = 0 beyond r of about
-    373 is unsupported for now: sech^2 r underflows there, and the
-    two-term Harish-Chandra form that would cover it is ROADMAP item 3.
+    ``phi_lorentz_integral`` for r <= 25 and everything else raises
+    ConvergenceError.  Re s = 0 beyond r of about 373 is unsupported for
+    now: sech^2 r underflows there, and the two-term Harish-Chandra form
+    that would cover it is ROADMAP item 3.  A value beyond the float
+    range raises ConvergenceError too.
     """
     m, m0 = group.m, group.m0
     sc = complex(as_spectral(s).value)
@@ -101,8 +102,19 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     rr = abs(float(r))
     if rr == 0.0:
         return SphericalValue(1.0 + 0.0j, EvalMethod.HYPERGEOMETRIC_STABLE)
+    try:
+        value, method = _phi_route(m, m0, sc, rr)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"phi_s(a_r) at s={sc}, r={rr} is beyond the float range")
+    return SphericalValue(value, method)
+
+
+def _phi_route(m: int, m0: int, sc: complex, rr: float) -> tuple[complex, EvalMethod]:
+    """phi at Re(sc) >= 0, rr > 0, and the route that gave it."""
     if sc.real > 0 and rr > _switch_radius(sc.real):
-        return SphericalValue(_phi_asymptotic(m, m0, sc, rr), EvalMethod.ASYMPTOTIC)
+        return _phi_asymptotic(m, m0, sc, rr), EvalMethod.ASYMPTOTIC
     a = m / 4.0 - sc / 2.0
     b = m0 / 4.0 - sc / 2.0
     c = (m + m0) / 4.0
@@ -114,9 +126,8 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     except ConvergenceError:
         if m0 != m + 2 or rr > 25.0:
             raise
-        val = phi_lorentz_integral(m, sc, rr, DEFAULT_SPEC)
-        return SphericalValue(val, EvalMethod.INTEGRAL_QUADRATURE)
-    return SphericalValue(_cosh_pow(rr, sc - m / 2.0) * f, EvalMethod.HYPERGEOMETRIC_STABLE)
+        return phi_lorentz_integral(m, sc, rr, DEFAULT_SPEC), EvalMethod.INTEGRAL_QUADRATURE
+    return _cosh_pow(rr, sc - m / 2.0) * f, EvalMethod.HYPERGEOMETRIC_STABLE
 
 
 def phi_lorentz_integral(m: int, s, r: float,
@@ -125,28 +136,37 @@ def phi_lorentz_integral(m: int, s, r: float,
 
     Evaluates G((m+1)/2) / (sqrt(pi) G(m/2)) *
     int_0^pi sin(th)^(m-1) (cosh r + sinh r cos th)^(-(s + m/2)) dth,
-    which is even in both r and s.  The base is formed as
-    cosh(r) (delta + 2 tanh(r) cos^2(th/2)) with delta = 1 - tanh(r)
-    computed from e^(-2r), so the boundary layer at th = pi never
-    cancels.  The layer itself has width ~e^(-|r|); beyond |r| of about
-    25 it is narrower than adaptive bisection can resolve and this
-    representation should not be used as an oracle.
+    which is even in both r and s, after flipping s so Re(s) >= 0 and r
+    to |r|.  The boundary layer at th = pi has width ~e^(-r), so the
+    integral is taken in v = log tan(th/2), where the layer sits at v = r:
+
+        2^m int e^(mv) (1 + e^(2v))^(s - m/2) (e^r + e^(2v - r))^(-(s + m/2)) dv,
+
+    with the integrand formed from logaddexp and scaled by e^(-(s - m/2) r)
+    so that it is O(1) near v = r.  Its tails decay like e^(-m|v|) outside
+    [0, r], so the domain is cut to [-D/m, r + D/m] with D = -log(absolute
+    tolerance) + truncation margin.  At the default tolerances it agrees
+    with mpmath to 2e-11 relative for m in {1..6, 8, 12, 16}, r in [0, 25]
+    and s in {0, 1e-9, 0.3, 1, 2, 0.45+0.2i, 1.5i, 0.7-2i}, and to 1e-11
+    at r = 30, 40, 60 and 100 while the value is in the float range.
     """
     if m < 1:
         raise DomainError("m must be at least 1")
     sc = complex(as_spectral(s).value)
+    if sc.real < 0:
+        sc = -sc
     rr = abs(float(r))
-    th = math.tanh(rr)
-    delta = 2.0 * math.exp(-2.0 * rr) / (1.0 + math.exp(-2.0 * rr))  # 1 - tanh
-    log_ch = _log_cosh(rr)
-    expo = -(sc + m / 2.0)
+    lo_expo, hi_expo = sc - m / 2.0, -(sc + m / 2.0)
 
-    def integrand(theta):
-        log_base = log_ch + np.log(delta + 2.0 * th * np.cos(theta / 2.0) ** 2)
-        return np.sin(theta) ** (m - 1) * np.exp(expo * log_base)
+    def integrand(vs):
+        log_g = (m * vs + lo_expo * (np.logaddexp(0.0, 2.0 * vs) - rr)
+                 + hi_expo * np.logaddexp(rr, 2.0 * vs - rr))
+        return np.exp(log_g)
 
+    depth = (-math.log(spec.absolute_tolerance) + spec.truncation_margin) / m
     const = (gamma((m + 1) / 2.0) / (math.sqrt(math.pi) * gamma(m / 2.0))).real
-    return const * integrate(integrand, 0.0, math.pi, spec, vectorized=True)
+    scale = const * 2.0 ** m * cmath.exp(lo_expo * rr)
+    return scale * integrate(integrand, -depth, rr + depth, spec, vectorized=True)
 
 
 def phi_lorentz_hyp2(m: int, s, r: float) -> complex:

@@ -272,6 +272,24 @@ def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec,
     return RadialFn.from_dict(out)
 
 
+def _pair_count(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
+                cap: int) -> tuple[int, int]:
+    """(|y^-1 x|, the pair count at each z of that length) for bz_counts."""
+    target = len(multiply(spec, inverse(spec, y), x))
+    if max(len(x), len(y), target) > ball_radius:
+        raise DomainError("words exceed the declared ball radius")
+    spheres(spec, max(len(x), len(y)), cap)
+    return target, _shell_counts(spec, len(y), target)[len(x)]
+
+
+def _shell_keys(spec: FreeProductSpec, n: int) -> dict:
+    """E_n as a dict (sorted by letters), built once per spec and shell."""
+    shells, keys = _cached_spheres(spec, n)
+    if n not in keys:
+        keys[n] = dict.fromkeys(shells[n])
+    return keys[n]
+
+
 def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
               cap: int = DEFAULT_SPHERE_CAP) -> dict[Word, int]:
     """Pair counts of the two-point radialization.
@@ -282,15 +300,8 @@ def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
     |x|}, the convolution of the two sphere indicators at z; the cap
     bounds E_|x| and E_|y|.
     """
-    target = len(multiply(spec, inverse(spec, y), x))
-    if max(len(x), len(y), target) > ball_radius:
-        raise DomainError("words exceed the declared ball radius")
-    spheres(spec, max(len(x), len(y)), cap)
-    count = _shell_counts(spec, len(y), target)[len(x)]
-    shells, keys = _cached_spheres(spec, target)
-    if target not in keys:
-        keys[target] = dict.fromkeys(shells[target])
-    return dict.fromkeys(keys[target], count)
+    target, count = _pair_count(spec, x, y, ball_radius, cap)
+    return dict.fromkeys(_shell_keys(spec, target), count)
 
 
 def direct_pair_counts(spec: FreeProductSpec, x: Word, y: Word) -> Counter:
@@ -315,13 +326,20 @@ def radialize_two_point(spec: FreeProductSpec, h: dict, x: Word, y: Word,
     if ball_radius is None:
         ball_radius = max(len(x), len(y)) + 1
         ball_radius = max(ball_radius, len(multiply(spec, inverse(spec, y), x)))
-    counts = bz_counts(spec, x, y, ball_radius, cap)
-    total_pairs = sum(counts.values())
+    target, count = _pair_count(spec, x, y, ball_radius, cap)
+    shell = _shell_keys(spec, target)
+    if isinstance(h, dict):
+        # Every z of the shell carries the same count, so only the support
+        # of h matters; summed in shell order, as over the whole shell.
+        support = sorted((z for z in h if z in shell), key=lambda z: z.letters)
+        values = [h[z] for z in support]
+    else:
+        values = [h(z) for z in shell]
     acc = 0
-    for z, c in counts.items():
-        hv = h.get(z, 0) if isinstance(h, dict) else h(z)
+    for hv in values:
         if hv != 0:
-            acc = acc + hv * c
+            acc = acc + hv * count
+    total_pairs = count * len(shell)
     exact = isinstance(acc, (int, Rational)) and not isinstance(acc, float)
     return Fraction(acc, total_pairs) if exact else acc / total_pairs
 

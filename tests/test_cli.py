@@ -143,6 +143,15 @@ class TestEval:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_value_beyond_float_range_is_runtime_failure(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--family", "so0", "--n", "2",
+            "--sigma", "10", "--t", "0.1", "--r", "75",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "eval", "--family", "e8", "--sigma", "0", "--t", "0")
         assert code == 2

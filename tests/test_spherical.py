@@ -11,6 +11,11 @@ from sphmult.errors import ConvergenceError, DomainError, NotAMultiplierError
 from sphmult.quadrature import QuadratureSpec, integrate
 from sphmult.specfun import bessel_product_moment, gamma
 
+try:
+    import mpmath
+except ImportError:  # the integer-s oracle below is skipped without it
+    mpmath = None
+
 SO12 = groups.params_for("so0", 2)  # m = 1
 SO13 = groups.params_for("so0", 3)  # m = 2
 SO14 = groups.params_for("so0", 4)  # m = 3
@@ -105,6 +110,14 @@ class TestPhi:
                     sph.phi(group, s, 400.0)
 
 
+    def test_beyond_float_range_raises(self):
+        # asymptotic route (r past the handoff), stable route (cosh^(s-m/2)
+        # overflows) and a stable value that comes out infinite
+        for s, r in ((10.0 + 0.1j, 75.0), (100.0, 7.9), (300.0, 3.0)):
+            with pytest.raises(ConvergenceError):
+                sph.phi(SO12, s, r)
+
+
 class TestUsefulFormulaForms:
     def test_integral_constant_for_half_m(self):
         for r in (0.2, 1.0, 3.0):
@@ -143,6 +156,45 @@ class TestUsefulFormulaForms:
                     c = sph.phi_lorentz_hyp2(m, s, r)
                     assert rel(a, b) < 1e-8
                     assert rel(a, c) < 1e-8
+
+
+def mp_phi_so0(m, s, r):
+    """phi_s(a_r) on SO0(1, m+1) from mpmath's 2F1, at 40 digits."""
+    with mpmath.workdps(40):
+        s, r = mpmath.mpc(s), mpmath.mpf(r)
+        f = mpmath.hyp2f1(m / 4.0 - s / 2, (m + 2) / 4.0 - s / 2, (m + 1) / 2.0,
+                          mpmath.tanh(r) ** 2)
+        return complex(mpmath.cosh(r) ** (s - m / 2.0) * f)
+
+
+class TestIntegralBoundaryLayer:
+    """phi_lorentz_integral for r up to 25, where the integrand's layer at
+    th = pi has width ~e^(-r) and missing it returned O(1)-wrong values."""
+
+    RADII = (5.0, 10.0, 15.0, 18.75, 20.0, 22.0, 24.0, 25.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 16])
+    def test_matches_stable_phi(self, m):
+        group = groups.params_for("so0", m + 1)
+        for s in (0.3, 0.45 + 0.2j, 1.5j, 0.7 - 2.0j):
+            for r in self.RADII:
+                value = sph.phi(group, s, r)
+                assert value.method is sph.EvalMethod.HYPERGEOMETRIC_STABLE
+                assert rel(sph.phi_lorentz_integral(m, s, r), complex(value)) < 1e-8
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 16])
+    def test_integer_s_matches_mpmath(self, m):
+        for s in (0.0, 1e-9, 1.0, 2.0):
+            for r in self.RADII:
+                assert rel(sph.phi_lorentz_integral(m, s, r), mp_phi_so0(m, s, r)) < 1e-8
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_phi_fallback_in_the_layer(self):
+        # the stable form fails at integer s; the fallback returned 3.4e-17
+        value = sph.phi(groups.params_for("so0", 5), 1.0, 18.75)
+        assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+        assert rel(complex(value), mp_phi_so0(4, 1.0, 18.75)) < 1e-8
 
 
 class TestCFunction:

@@ -415,6 +415,28 @@ class TestTwoPointRadialization:
                 assert two == one_point(target)
 
 
+    def test_dict_support_matches_shell_walk(self):
+        # a dict h is summed over its support, a callable over the shell;
+        # both see the same values, so even float sums agree bit for bit
+        rng = random.Random(12)
+        spec = SPEC11
+        shells = tr.spheres(spec, 5)
+        words = [w for sh in shells for w in sh]
+        for exact in (True, False):
+            h = {w: (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if exact
+                     else rng.uniform(-1.0, 1.0)) for w in rng.sample(words, 60)}
+            h[tr.Word(((0, 1), (0, 1), (1, 1)))] = 5  # not reduced: on no shell
+            for x, y in itertools.product(shells[2][:4], shells[3][:4]):
+                two = tr.radialize_two_point(spec, h, x, y)
+                assert repr(two) == repr(tr.radialize_two_point(
+                    spec, lambda z: h.get(z, 0), x, y))
+
+    def test_cap_still_applies(self):
+        x, y = tr.representative(SPEC30, 3), tr.representative(SPEC30, 1)
+        with pytest.raises(CapacityError):
+            tr.radialize_two_point(SPEC30, {x: 1}, x, y, cap=5)
+
+
 class TestPairing:
     def test_delta_at_identity(self):
         phi = {tr.IDENTITY: 7, tr.representative(SPEC30, 1): 2}
