@@ -66,7 +66,8 @@ def _estimates(f: Callable, *edge_runs: np.ndarray) -> list:
     xs = np.concatenate([nodes for nodes, _ in built])
     halves = np.concatenate([h for _, h in built])
     ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
-    # One np.dot per panel: a matrix product would sum in another order.
+    # np.dot per panel, not a matrix product, which sums in another order:
+    # a panel's value must not depend on how many panels share the call.
     return [h * np.dot(_GL_WEIGHTS, y) for h, y in zip(halves, ys)]
 
 
@@ -155,8 +156,6 @@ def integrate(
         push(mid, hi, right, *quarters[2:])
 
     return total
-
-
 
 
 def composite(f: Callable, edges: np.ndarray) -> complex:

@@ -274,7 +274,8 @@ def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec,
 
 def _pair_count(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
                 cap: int) -> tuple[int, int]:
-    """(|y^-1 x|, the pair count at each z of that length) for bz_counts."""
+    """(|y^-1 x|, the pair count at each z of that length), after the
+    ball-radius and cap checks of bz_counts."""
     target = len(multiply(spec, inverse(spec, y), x))
     if max(len(x), len(y), target) > ball_radius:
         raise DomainError("words exceed the declared ball radius")
