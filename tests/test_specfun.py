@@ -292,9 +292,9 @@ class TestWeberSchafheitlin:
 
 
 def per_panel_integrate(f, a, b, spec, bisections):
-    """The adaptive rule as first written, one integrand call per panel:
-    the oracle for ``integrate``.  Appends one entry to ``bisections`` per
-    bisection."""
+    """The adaptive rule with one integrand call per panel, every coarse
+    panel evaluated afresh: the oracle for ``integrate``.  Appends one
+    entry to ``bisections`` per bisection."""
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
