@@ -104,17 +104,9 @@ def _emit(text: str, out_path: str):
 
 
 def _norm_row(m: int, sigma: float, t: float) -> dict:
-    position = groups.classify(complex(sigma, t), m)
-    if position is groups.StripPosition.INTERIOR:
-        return {
-            "sigma": sigma,
-            "t": t,
-            "norm": spherical.cb_norm_lorentz(m, complex(sigma, t)),
-            "status": "INTERIOR",
-        }
-    if position is groups.StripPosition.BOUNDARY_CONSTANT:
-        return {"sigma": sigma, "t": t, "norm": 1.0, "status": "BOUNDARY_CONSTANT"}
-    return {"sigma": sigma, "t": t, "norm": None, "status": "NOT_MULTIPLIER"}
+    position, norm = spherical.strip_norm(m, complex(sigma, t))
+    status = "NOT_MULTIPLIER" if norm is None else position.name
+    return {"sigma": sigma, "t": t, "norm": norm, "status": status}
 
 
 def cmd_norm_table(config: RunConfig) -> int:

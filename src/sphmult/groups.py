@@ -115,10 +115,12 @@ def as_spectral(s) -> SpectralParameter:
     raise DomainError(f"cannot interpret {s!r} as a spectral parameter")
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int)) or (
-        isinstance(x, numbers.Rational) and not isinstance(x, bool)
-    )
+def _offset(x, m: int):
+    """|x| - m/2 and the window in which it counts as zero: exact (0) for
+    rationals, 1e-12 for floats."""
+    if isinstance(x, numbers.Rational):
+        return abs(Fraction(x)) - Fraction(m, 2), 0
+    return abs(float(x)) - m / 2.0, _BOUNDARY_TOL
 
 
 def classify(s, m: int) -> StripPosition:
@@ -129,29 +131,10 @@ def classify(s, m: int) -> StripPosition:
     classification is discontinuous there.
     """
     sp = as_spectral(s)
-    half = Fraction(m, 2)
-    sigma, t = sp.sigma, sp.t
-    if _is_exact(sigma):
-        abs_sigma = abs(Fraction(sigma))
-        if abs_sigma < half:
-            return StripPosition.INTERIOR
-        if abs_sigma == half:
-            on_axis = (Fraction(t) == 0) if _is_exact(t) else abs(float(t)) <= _BOUNDARY_TOL
-            return (
-                StripPosition.BOUNDARY_CONSTANT
-                if on_axis
-                else StripPosition.BOUNDARY_NONTRIVIAL
-            )
-        return StripPosition.EXTERIOR
-    abs_sigma = abs(float(sigma))
-    edge = float(half)
-    if abs(abs_sigma - edge) <= _BOUNDARY_TOL:
-        on_axis = (Fraction(t) == 0) if _is_exact(t) else abs(float(t)) <= _BOUNDARY_TOL
-        return (
-            StripPosition.BOUNDARY_CONSTANT
-            if on_axis
-            else StripPosition.BOUNDARY_NONTRIVIAL
-        )
-    if abs_sigma < edge:
-        return StripPosition.INTERIOR
-    return StripPosition.EXTERIOR
+    gap, tol = _offset(sp.sigma, m)
+    if abs(gap) <= tol:
+        t_gap, t_tol = _offset(sp.t, 0)
+        if abs(t_gap) <= t_tol:
+            return StripPosition.BOUNDARY_CONSTANT
+        return StripPosition.BOUNDARY_NONTRIVIAL
+    return StripPosition.INTERIOR if gap < 0 else StripPosition.EXTERIOR

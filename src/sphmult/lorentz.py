@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .groups import StripPosition, as_spectral, classify
+from .groups import as_spectral
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
 from .specfun import bessel_k_many, gamma
-from .spherical import _c_m, _kernel_edges
+from .spherical import _c_m, _kernel_edges, _open_strip
 
 _MATRIX_TOL = 1e-10
 
@@ -298,10 +298,7 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     """
     if m != 1:
         raise DomainError("coefficient_pairing supports m = 1 only")
-    sp = as_spectral(s)
-    if classify(sp, m) is not StripPosition.INTERIOR:
-        raise DomainError("coefficient_pairing requires s in the open strip")
-    sc = complex(sp.value)
+    sc = _open_strip(m, s, "coefficient_pairing")
     r = float(r)
     lam = math.exp(r) * abs(float(y))
     edges = _kernel_edges(m, sc, r, lam, spec)

@@ -41,6 +41,12 @@ class QuadratureSpec:
         if self.max_panels < 1:
             raise DomainError("max_panels must be at least 1")
 
+    @property
+    def truncation_depth(self) -> float:
+        """e-folds of decay after which a tail is dropped: -log(absolute
+        tolerance) plus the truncation margin."""
+        return -math.log(self.absolute_tolerance) + self.truncation_margin
+
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -102,8 +108,7 @@ def integrate(
             raise DomainError(
                 "semi-infinite integration requires a positive decay_rate envelope"
             )
-        span = (-math.log(spec.absolute_tolerance) + spec.truncation_margin) / decay_rate
-        b = a + span
+        b = a + spec.truncation_depth / decay_rate
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite after truncation")
     if a == b:

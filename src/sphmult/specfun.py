@@ -191,6 +191,11 @@ def _hyp2f1_log_case(a, b, w, rtol):
     return gamma(a + b) * rgamma(a) * rgamma(b) * total
 
 
+def _gauss_ratio(a, b, c, d):
+    """G(c)G(d) / (G(c-a)G(c-b)) for d = c-a-b."""
+    return gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+
+
 class _IntegerSeparation(Exception):
     """Internal: c - a - b is (near) a nonzero integer, connection formula unusable."""
 
@@ -209,11 +214,11 @@ def _hyp2f1_near_one(a, b, c, w, rtol):
         raise _IntegerSeparation()
     if w == 0:
         if d.real > 0:
-            return gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+            return _gauss_ratio(a, b, c, d)
         raise ConvergenceError(
             "2F1 diverges at unit argument for Re(c-a-b) <= 0"
         )
-    coeff_a = gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+    coeff_a = _gauss_ratio(a, b, c, d)
     coeff_b = gamma(c) * gamma(-d) * rgamma(a) * rgamma(b)
     f1 = _hyp2f1_series(a, b, a + b - c + 1.0, w, rtol)
     f2 = _hyp2f1_series(c - a, c - b, d + 1.0, w, rtol)
@@ -284,7 +289,7 @@ def gauss_value(a: complex, b: complex, c: complex) -> complex:
     d = complex(c) - a - b
     if d.real <= 0:
         raise DomainError("2F1 at unit argument requires Re(c-a-b) > 0")
-    return gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+    return _gauss_ratio(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +358,11 @@ def _bessel_k_array(nu: complex, xs: np.ndarray, spec: QuadratureSpec) -> np.nda
     sigma = abs(nu.real)
     # Cut each integral at T >= acosh(2) where x cosh T - sigma T exceeds
     # its value at the envelope's peak, t = asinh(sigma / x), by 40 e-folds
-    # (~4e-18) plus the spec's margin.
+    # (~4e-18) plus the spec's margin.  Started below the peak (target < 0
+    # at small x, large sigma), the iteration would stay at acosh(2).
     t_peak = np.arcsinh(sigma / rest)
     target = rest * np.cosh(t_peak) - sigma * t_peak + 40.0 + spec.truncation_margin
-    cuts = np.arccosh(np.maximum(2.0, target / rest))
+    cuts = np.maximum(np.arccosh(np.maximum(2.0, target / rest)), t_peak)
     for _ in range(4):
         cuts = np.arccosh(np.maximum(2.0, (target + sigma * cuts) / rest))
     # Runs of points sorted by (T, x) share grids of n, 2n, 4n and 8n panels
@@ -460,7 +466,7 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     decay_left = power.real + 1.0 - abs(nu.real) - abs(mu.real)
     if decay_left <= 0:
         raise DomainError("moment integrand is not integrable at r = 0")
-    depth = -math.log(spec.absolute_tolerance) + spec.truncation_margin
+    depth = spec.truncation_depth
     v_min = -depth / decay_left
     # Large-r decay is exp(-2 e^v); solve 2 e^v - (Re power + 1) v >= depth.
     v_max = math.log(0.5 * depth + 2.0)

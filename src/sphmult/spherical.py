@@ -89,7 +89,7 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     error against mpmath is 2.5e-6 on F4(-20), 3.7e-7 on Sp(1,2) and
     7.4e-8 on SU(1,3) (ROADMAP item 3).  Otherwise the stable
     hypergeometric form is used; where it fails, SO0 falls back to
-    ``phi_lorentz_integral`` for r <= 25 and everything else raises
+    ``phi_lorentz_integral`` for r <= 100 and everything else raises
     ConvergenceError.  Re s = 0 beyond r of about 373 is unsupported for
     now: sech^2 r underflows there, and the two-term Harish-Chandra form
     that would cover it is ROADMAP item 3.  A value beyond the float
@@ -105,10 +105,15 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     try:
         value, method = _phi_route(m, m0, sc, rr)
     except OverflowError:
-        value = complex(math.inf)
+        value, method = complex(math.inf), None
+    return SphericalValue(_in_float_range(value, sc, rr), method)
+
+
+def _in_float_range(value: complex, sc: complex, r: float) -> complex:
+    """value, or ConvergenceError when it is not finite."""
     if not cmath.isfinite(value):
-        raise ConvergenceError(f"phi_s(a_r) at s={sc}, r={rr} is beyond the float range")
-    return SphericalValue(value, method)
+        raise ConvergenceError(f"phi_s(a_r) at s={sc}, r={r} is beyond the float range")
+    return value
 
 
 def _phi_route(m: int, m0: int, sc: complex, rr: float) -> tuple[complex, EvalMethod]:
@@ -124,7 +129,7 @@ def _phi_route(m: int, m0: int, sc: complex, rr: float) -> tuple[complex, EvalMe
     try:
         f = _hyp2f1_zw(a, b, c, z, w, SPECIAL_RTOL)
     except ConvergenceError:
-        if m0 != m + 2 or rr > 25.0:
+        if m0 != m + 2 or rr > 100.0:
             raise
         return phi_lorentz_integral(m, sc, rr, DEFAULT_SPEC), EvalMethod.INTEGRAL_QUADRATURE
     return _cosh_pow(rr, sc - m / 2.0) * f, EvalMethod.HYPERGEOMETRIC_STABLE
@@ -163,7 +168,7 @@ def phi_lorentz_integral(m: int, s, r: float,
                  + hi_expo * np.logaddexp(rr, 2.0 * vs - rr))
         return np.exp(log_g)
 
-    depth = (-math.log(spec.absolute_tolerance) + spec.truncation_margin) / m
+    depth = spec.truncation_depth / m
     const = (gamma((m + 1) / 2.0) / (math.sqrt(math.pi) * gamma(m / 2.0))).real
     scale = const * 2.0 ** m * cmath.exp(lo_expo * rr)
     return scale * integrate(integrand, -depth, rr + depth, spec, vectorized=True)
@@ -207,11 +212,52 @@ def _phi_asymptotic(m: int, m0: int, sc: complex, r: float) -> complex:
 
 
 def phi_asymptotic(group: RankOneGroup, s, r: float) -> complex:
-    """Leading large-r form c(s) e^((s - m/2) r), for Re(s) > 0."""
+    """Leading large-r form c(s) e^((s - m/2) r), for Re(s) > 0; a value
+    beyond the float range raises ConvergenceError, as in ``phi``."""
     sc = complex(as_spectral(s).value)
     if sc.real <= 0:
         raise DomainError("phi_asymptotic requires Re(s) > 0")
-    return _phi_asymptotic(group.m, group.m0, sc, float(r))
+    r = float(r)
+    try:
+        value = _phi_asymptotic(group.m, group.m0, sc, r)
+    except OverflowError:
+        value = complex(math.inf)
+    return _in_float_range(value, sc, r)
+
+
+def _open_strip(m: int, s, what: str) -> complex:
+    """s as a complex number; DomainError unless it is in the open strip."""
+    sp = as_spectral(s)
+    if classify(sp, m) is not StripPosition.INTERIOR:
+        raise DomainError(f"{what} requires s in the open strip")
+    return sp.value
+
+
+def _strip_gammas(m: int, sc: complex) -> tuple[float, float, complex, complex]:
+    """G(m/2+sig) G(m/2-sig) |G(m/2+it)|^2, G(m/2)^2, G(m/2+s) and G(m/2-s)
+    at s = sig + i t, the factors of cb_norm_lorentz, bessel_vector_norm_sq
+    and multiplier_l1_norm."""
+    half = m / 2.0
+    num = (
+        gamma(half + sc.real).real
+        * gamma(half - sc.real).real
+        * abs(gamma(complex(half, sc.imag))) ** 2
+    )
+    return num, gamma(half).real ** 2, gamma(half + sc), gamma(half - sc)
+
+
+def strip_norm(m: int, s) -> tuple[StripPosition, float | None]:
+    """Strip position of s and the cb multiplier norm of phi_s on
+    SO0(1, m+1) there: the Gamma expression in the open strip, 1 at
+    s = +-m/2, None elsewhere (phi_s is not a multiplier)."""
+    sp = as_spectral(s)
+    position = classify(sp, m)
+    if position is StripPosition.BOUNDARY_CONSTANT:
+        return position, 1.0
+    if position is not StripPosition.INTERIOR:
+        return position, None
+    num, half_sq, g_plus, g_minus = _strip_gammas(m, sp.value)
+    return position, num / (half_sq * abs(g_plus * g_minus))
 
 
 def cb_norm_lorentz(m: int, s) -> float:
@@ -222,24 +268,12 @@ def cb_norm_lorentz(m: int, s) -> float:
     naive formula hits a Gamma pole there).  Raises NotAMultiplierError
     on the rest of the boundary and outside the closed strip.
     """
-    sp = as_spectral(s)
-    position = classify(sp, m)
-    if position is StripPosition.BOUNDARY_CONSTANT:
-        return 1.0
-    if position is not StripPosition.INTERIOR:
+    norm = strip_norm(m, s)[1]
+    if norm is None:
         raise NotAMultiplierError(
-            f"phi_s is not a completely bounded multiplier at s={sp.value} (m={m})"
+            f"phi_s is not a completely bounded multiplier at s={as_spectral(s).value} (m={m})"
         )
-    sigma, t = float(sp.sigma), float(sp.t)
-    half = m / 2.0
-    sc = complex(sigma, t)
-    num = (
-        gamma(half + sigma).real
-        * gamma(half - sigma).real
-        * abs(gamma(complex(half, t))) ** 2
-    )
-    den = gamma(half).real ** 2 * abs(gamma(half + sc) * gamma(half - sc))
-    return num / den
+    return norm
 
 
 _SPHERE_CONST_CACHE: dict[int, float] = {}
@@ -263,12 +297,9 @@ def bessel_vector(m: int, s, x_norm: float,
 
     with c_m = sqrt(G(m)/(pi^(m/2) G(m/2))).  Requires s in the open strip.
     """
-    sp = as_spectral(s)
-    if classify(sp, m) is not StripPosition.INTERIOR:
-        raise DomainError("bessel_vector requires s in the open strip")
+    sc = _open_strip(m, s, "bessel_vector")
     if x_norm <= 0:
         raise DomainError("bessel_vector requires x_norm > 0")
-    sc = complex(sp.value)
     return (
         _c_m(m)
         * 2.0 ** (1.0 - m / 2.0)
@@ -283,19 +314,8 @@ def bessel_vector_norm_sq(m: int, s) -> float:
     Real, positive, equal to 1 on the imaginary axis, and symmetric in
     both sigma -> -sigma and t -> -t.
     """
-    sp = as_spectral(s)
-    if classify(sp, m) is not StripPosition.INTERIOR:
-        raise DomainError("bessel_vector_norm_sq requires s in the open strip")
-    sigma, t = float(sp.sigma), float(sp.t)
-    half = m / 2.0
-    sc = complex(sigma, t)
-    num = (
-        gamma(half + sigma).real
-        * gamma(half - sigma).real
-        * abs(gamma(complex(half, t))) ** 2
-    )
-    den = gamma(half).real ** 2 * abs(gamma(half + sc)) ** 2
-    return num / den
+    num, half_sq, g_plus, _ = _strip_gammas(m, _open_strip(m, s, "bessel_vector_norm_sq"))
+    return num / (half_sq * abs(g_plus) ** 2)
 
 
 def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -305,17 +325,10 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     Computed by quadrature:  2^(3-m) G(m) / (G(m/2)^2 |G(m/2+s) G(m/2-s)|)
     times int_0^inf |K_s(r)|^2 r^(m-1) dr.
     """
-    sp = as_spectral(s)
-    if classify(sp, m) is not StripPosition.INTERIOR:
-        raise DomainError("multiplier_l1_norm requires s in the open strip")
-    sc = complex(sp.value)
-    half = m / 2.0
+    sc = _open_strip(m, s, "multiplier_l1_norm")
     moment = bessel_product_moment(sc, sc.conjugate(), m - 1.0, spec)
-    const = (
-        2.0 ** (3.0 - m)
-        * gamma(float(m)).real
-        / (gamma(half).real ** 2 * abs(gamma(half + sc) * gamma(half - sc)))
-    )
+    _, half_sq, g_plus, g_minus = _strip_gammas(m, sc)
+    const = 2.0 ** (3.0 - m) * gamma(float(m)).real / (half_sq * abs(g_plus * g_minus))
     return const * moment.real
 
 
@@ -344,7 +357,7 @@ def _kernel_edges(m: int, sc: complex, r: float, lam: float,
     """Panel edges in v = log x for the Bessel-kernel coefficient integrals
     of phi_on_na and lorentz.coefficient_pairing; lam is the plane wave's
     oscillation rate in x."""
-    depth = -math.log(spec.absolute_tolerance) + spec.truncation_margin
+    depth = spec.truncation_depth
     v_min = -depth / (m - 2.0 * abs(sc.real))
     v_max = math.log(max(depth / (1.0 + math.exp(r)), 1e-3))
     t_osc = 2.0 * abs(sc.imag)
@@ -363,10 +376,7 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
-    sp = as_spectral(s)
-    if classify(sp, m) is not StripPosition.INTERIOR:
-        raise DomainError("phi_on_na requires s in the open strip")
-    sc = complex(sp.value)
+    sc = _open_strip(m, s, "phi_on_na")
     r = float(r)
     y_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float))))
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave

@@ -16,6 +16,7 @@ enumerated (capped, raising CapacityError) only for word-indexed results.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,13 +135,18 @@ def sphere_size(spec: FreeProductSpec, n: int) -> int:
 
 # Per spec: the spheres built so far, and {n: dict keyed by E_n} for the
 # shells bz_counts returns, so that its results reuse the stored hashes.
+# Whole shells are appended under _SPHERE_LOCK; present ones are read without it.
 _SPHERE_CACHE: dict[FreeProductSpec, tuple[list[list[Word]], dict]] = {}
+_SPHERE_LOCK = threading.Lock()
 
 
 def _cached_spheres(spec: FreeProductSpec, radius: int):
     """The cache entry of spec, with spheres through E_radius (no cap)."""
-    shells, keys = _SPHERE_CACHE.setdefault(spec, ([[IDENTITY]], {}))
-    if len(shells) <= radius:
+    entry = _SPHERE_CACHE.get(spec)
+    if entry is not None and len(entry[0]) > radius:
+        return entry
+    with _SPHERE_LOCK:
+        shells, keys = _SPHERE_CACHE.setdefault(spec, ([[IDENTITY]], {}))
         letters = sorted(g.letters[0] for g in generators(spec))
         after = {(): letters}
         for a in letters:

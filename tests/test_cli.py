@@ -134,6 +134,23 @@ class TestEval:
         assert data["cb_norm"] is None
         assert data["cb_norm_status"] == "NOT_MULTIPLIER"
 
+    def test_text_report_so0(self, capsys):
+        # the README example, and a point outside the strip
+        code, out, _ = run(
+            capsys,
+            "eval", "--family", "so0", "--n", "3",
+            "--sigma", "0.5", "--t", "1.0", "--r", "1.0",
+        )
+        assert code == 0
+        assert "  cb multiplier norm           1.41022013939979\n" in out
+        code, out, _ = run(
+            capsys,
+            "eval", "--family", "so0", "--n", "3",
+            "--sigma", "1.0", "--t", "1.0", "--r", "0.5",
+        )
+        assert code == 0
+        assert out.endswith("  cb multiplier norm           NOT_MULTIPLIER\n")
+
     def test_unsupported_point_is_runtime_failure(self, capsys):
         code, out, err = run(
             capsys, "eval", "--family", "su", "--n", "2",

@@ -185,6 +185,15 @@ class TestBesselK:
             expected = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
             assert rel(sf.bessel_k(0.5, x), expected) < 1e-12
 
+    def test_large_order_at_small_x(self):
+        # K_{7/2} in closed form; the truncation point stayed below the
+        # envelope's peak here and the quadrature agreed with itself on a
+        # value that was 100 % off
+        for x in (1e-8, 1e-7, 1e-6):
+            expected = (math.sqrt(math.pi / (2 * x)) * math.exp(-x)
+                        * (1 + 6 / x + 15 / x**2 + 15 / x**3))
+            assert rel(sf.bessel_k(3.5, x), expected) < 1e-12
+
     def test_k0_square_integral(self):
         val = sf.bessel_product_moment(0.0, 0.0, 0.0)
         assert rel(val, math.pi**2 / 4) < 1e-10

@@ -196,6 +196,20 @@ class TestIntegralBoundaryLayer:
         assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
         assert rel(complex(value), mp_phi_so0(4, 1.0, 18.75)) < 1e-8
 
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_phi_fallback_beyond_25(self):
+        # near-integer s: the stable form fails and the quadrature answers;
+        # 80 digits keep 1 - tanh^2 r = sech^2 r ~ 1e-52 at r = 60
+        m, s = 4, 1e-9
+        for r in (26.0, 60.0):
+            value = sph.phi(groups.params_for("so0", m + 1), s, r)
+            assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+            with mpmath.workdps(80):
+                z = mpmath.tanh(mpmath.mpf(r)) ** 2
+                f = mpmath.hyp2f1(m / 4.0 - s / 2, (m + 2) / 4.0 - s / 2, (m + 1) / 2.0, z)
+                expected = complex(mpmath.cosh(mpmath.mpf(r)) ** (s - m / 2.0) * f)
+            assert rel(complex(value), expected) < 1e-8
+
 
 class TestCFunction:
     def test_normalized_at_corner(self):
@@ -251,6 +265,10 @@ class TestPhiAsymptotic:
     def test_requires_positive_real_part(self):
         with pytest.raises(DomainError):
             sph.phi_asymptotic(SO12, 0.9j, 5.0)
+
+    def test_beyond_float_range_raises(self):
+        with pytest.raises(ConvergenceError):
+            sph.phi_asymptotic(SO12, 10.0 + 0.1j, 75.0)
 
 
 class TestCbNorm:
@@ -404,6 +422,10 @@ class TestMultiplierL1Norm:
         a = sph.multiplier_l1_norm(2, 0.5 + 1.0j)
         b = sph.cb_norm_lorentz(2, 0.5 + 1.0j)
         assert rel(a, b) < 1e-6
+
+    def test_matches_gamma_formula_at_large_order(self):
+        # the kernel K_3.5(r) near r = 0 was cut short (8.4e-7 off)
+        assert abs(sph.multiplier_l1_norm(8, 3.5) - sph.cb_norm_lorentz(8, 3.5)) < 1e-10
 
     def test_monotone_in_sigma(self):
         sigmas = [0.05, 0.15, 0.25, 0.35]

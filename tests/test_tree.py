@@ -3,6 +3,8 @@
 import functools
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 from numbers import Rational
 
@@ -206,6 +208,30 @@ class TestSpheres:
             tr._SPHERE_CACHE.pop(spec, None)
             tr.spheres(spec, 2)
             assert tr.spheres(spec, 6) == bfs_spheres(spec, 6)
+
+    def test_concurrent_growth_of_a_cold_cache(self):
+        # four threads growing one cold entry must each append a shell once
+        spec = tr.FreeProductSpec(3, 1)
+        sizes = [tr.sphere_size(spec, n) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                tr._SPHERE_CACHE.pop(spec, None)
+                results = []
+                threads = [threading.Thread(target=lambda: results.append(tr.spheres(spec, 7)))
+                           for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert [len(e) for e in tr._SPHERE_CACHE[spec][0]] == sizes
+                assert len(results) == 4
+                assert all([len(e) for e in shells] == sizes for shells in results)
+        finally:
+            sys.setswitchinterval(interval)
+            tr._SPHERE_CACHE.pop(spec, None)
 
     def test_representative_lengths(self):
         for spec in ALL_SPECS:
