@@ -17,7 +17,14 @@ The package provides:
 * ``tree``         -- reduced words in free products, homogeneous-tree
                       spheres, radialization and radial convolution;
 * ``cli``          -- the ``sphmult`` command line front end.
+
+``errors``, ``groups`` and ``tree`` need only the standard library.  The
+names exported from ``quadrature``, ``specfun`` and ``spherical`` are
+loaded on first use, so ``import sphmult`` does not import numpy; each
+``sphmult`` subcommand imports only the modules it runs.
 """
+
+from importlib import import_module
 
 from .errors import (
     CapacityError,
@@ -36,30 +43,33 @@ from .groups import (
     classify,
     params_for,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .specfun import (
-    bessel_k,
-    bessel_product_moment,
-    beta,
-    gamma,
-    hyp2f1,
-    weber_schafheitlin_rhs,
-)
-from .spherical import (
-    EvalMethod,
-    SphericalValue,
-    bessel_vector,
-    bessel_vector_norm_sq,
-    c_function,
-    cb_norm_lorentz,
-    cesaro_extract,
-    multiplier_l1_norm,
-    phi,
-    phi_asymptotic,
-    phi_lorentz_hyp2,
-    phi_lorentz_integral,
-    phi_on_na,
-)
+
+# The numeric modules import numpy, so their names are served on first
+# use (PEP 562) and cached here.
+_LAZY_MODULES = {
+    "quadrature": ("DEFAULT_SPEC", "QuadratureSpec", "integrate"),
+    "specfun": ("bessel_k", "bessel_product_moment", "beta", "gamma", "hyp2f1",
+                "weber_schafheitlin_rhs"),
+    "spherical": ("EvalMethod", "SphericalValue", "bessel_vector",
+                  "bessel_vector_norm_sq", "c_function", "cb_norm_lorentz",
+                  "cesaro_extract", "multiplier_l1_norm", "phi", "phi_asymptotic",
+                  "phi_lorentz_hyp2", "phi_lorentz_integral", "phi_on_na"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CapacityError",

@@ -22,9 +22,11 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from . import groups, spherical, tree, verify
+from . import groups
 from .errors import CapacityError, DomainError, SphmultError
-from .quadrature import QuadratureSpec
+
+# The numeric modules (and numpy with them) are imported by the commands
+# that run them, so ``tree`` starts without them.
 
 _FLOAT_FMT = "%.17g"
 
@@ -103,20 +105,22 @@ def _emit(text: str, out_path: str):
         sys.stdout.write(text)
 
 
-def _norm_row(m: int, sigma: float, t: float) -> dict:
-    position, norm = spherical.strip_norm(m, complex(sigma, t))
+def _norm_row(strip_norm, m: int, sigma: float, t: float) -> dict:
+    position, norm = strip_norm(m, complex(sigma, t))
     status = "NOT_MULTIPLIER" if norm is None else position.name
     return {"sigma": sigma, "t": t, "norm": norm, "status": status}
 
 
 def cmd_norm_table(config: RunConfig) -> int:
+    from .spherical import strip_norm
+
     config.format = config.format or "csv"
-    if groups.Family(config.family.lower()) is not groups.Family.SO0:
-        raise DomainError("norm-table supports the so0 family only")
     group = groups.params_for(config.family, config.n)
+    if group.family is not groups.Family.SO0:
+        raise DomainError("norm-table supports the so0 family only")
     sigmas = _parse_range(config.sigma_range)
     ts = _parse_range(config.t_range)
-    rows = [_norm_row(group.m, sigma, t) for sigma in sigmas for t in ts]
+    rows = [_norm_row(strip_norm, group.m, sigma, t) for sigma in sigmas for t in ts]
     if config.format == "csv":
         lines = ["sigma,t,norm,status"]
         for row in rows:
@@ -133,6 +137,9 @@ def cmd_norm_table(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    from . import spherical
+    from .quadrature import QuadratureSpec
+
     config.format = config.format or "text"
     group = groups.params_for(config.family, config.n)
     s = complex(config.sigma, config.t)
@@ -186,6 +193,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    from . import verify
+
     selected = None
     if config.checks is not None:
         selected = [c for c in config.checks.split(",") if c.strip()]
@@ -214,6 +223,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_tree(config: RunConfig) -> int:
+    from . import tree
+
     config.format = config.format or "text"
     spec = tree.FreeProductSpec(config.m_factors, config.n_factors)
     shells = tree.spheres(spec, config.radius)

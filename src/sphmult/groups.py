@@ -10,6 +10,7 @@ multipliers.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -108,10 +109,14 @@ class SpectralParameter:
 
 
 def as_spectral(s) -> SpectralParameter:
+    """s as a SpectralParameter; DomainError for a number that is not finite."""
     if isinstance(s, SpectralParameter):
         return s
     if isinstance(s, numbers.Complex):
-        return SpectralParameter.from_complex(complex(s))
+        z = complex(s)
+        if not cmath.isfinite(z):
+            raise DomainError(f"spectral parameter {z} is not finite")
+        return SpectralParameter(z.real, z.imag)
     raise DomainError(f"cannot interpret {s!r} as a spectral parameter")
 
 

@@ -77,12 +77,45 @@ def gamma(z: complex) -> complex:
     if z.real < 0.5:
         # Reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+    zz, t, acc = _lanczos(z)
+    return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+
+
+def _lanczos(z: complex) -> tuple[complex, complex, complex]:
+    """z - 1, z + g - 1/2 and the Lanczos sum, for Re z >= 0.5."""
     zz = z - 1.0
     acc = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    return zz, zz + _LANCZOS_G + 0.5, acc
+
+
+def log_gamma_ratio(x1: float, x2: float, y: float) -> complex:
+    """log G(x1 + iy) - log G(x2 + iy) for x1, x2 > 0 and real y.
+
+    exp of it is the ratio of the two Gammas.  Their e^(-pi |y| / 2)
+    decay cancels before it is formed: in the Lanczos form the two
+    y log(t) terms enter as one y log(t1 / t2), so the result is accurate
+    to about 1e-14 absolute at y = 1e4.
+    """
+    if x1 <= 0.0 or x2 <= 0.0:
+        raise DomainError("log_gamma_ratio requires positive real parts")
+    y = float(y)
+
+    def parts(x):
+        z, shift = complex(x, y), 0.0j
+        if x < 0.5:
+            z, shift = z + 1.0, cmath.log(z)
+        _, t, acc = _lanczos(z)
+        return (z.real - 0.5) * cmath.log(t) - t.real + cmath.log(acc) - shift, t
+
+    p1, t1 = parts(float(x1))
+    p2, t2 = parts(float(x2))
+    # log(t1 / t2), t = a + iy, without rounding |t1 / t2| = 1 + O(y^-2)
+    a1, a2 = t1.real, t2.real
+    log_ratio = complex(0.5 * math.log1p((a1 - a2) * (a1 + a2) / (a2 * a2 + y * y)),
+                        math.atan2(y * (a2 - a1), a1 * a2 + y * y))
+    return p1 - p2 + 1j * y * log_ratio
 
 
 def rgamma(z: complex) -> complex:
@@ -321,6 +354,49 @@ def _bessel_small_x(nu: complex, x):
     return 0.5 * (gamma(nu) * half ** (-nu) + gamma(-nu) * half**nu)
 
 
+_LOG_BESSEL_SMALL_X = math.log(_BESSEL_SMALL_X)
+
+
+def _bessel_small_scaled(nu: complex, vs: np.ndarray):
+    """r^sigma K_nu(r), sigma = |Re nu|, at r = e^v < _BESSEL_SMALL_X.
+
+    The form of _bessel_small_x written in v, so that r is never formed:
+    (G(nu) 2^nu e^(-i Im(nu) v) + G(-nu) 2^-nu e^((2 sigma + i Im(nu)) v)) / 2
+    for Re nu >= 0.  Within 1e-6 of a nonzero integer order the second
+    term, with its Gamma pole, cancels against the first one's O(r^2)
+    correction, so both are dropped.  Returns None within 1e-6 of zero
+    order (except below 1e-12, the K_0 form), where G(+-nu) cancel.
+    ``bessel_k`` keeps the x form, whose values near zeros of K_it differ
+    from these by rounding of the mass K_0(x).
+    """
+    if nu.real < 0:
+        nu = -nu
+    n = round(nu.real)
+    if abs(nu - n) < 1e-6:
+        if n != 0:
+            return 0.5 * gamma(nu) * 2.0**nu * np.exp(-1j * nu.imag * vs)
+        if abs(nu) < 1e-12:
+            return -(vs - math.log(2.0) + EULER_GAMMA) + 0.0j
+        return None
+    return 0.5 * (gamma(nu) * 2.0**nu * np.exp(-1j * nu.imag * vs)
+                  + gamma(-nu) * 2.0**-nu * np.exp((2.0 * nu.real + 1j * nu.imag) * vs))
+
+
+def _bessel_k_scaled(nu: complex, vs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """r^sigma K_nu(r), sigma = |Re nu|, at r = e^v for every v: the
+    small-x form in v below _BESSEL_SMALL_X, the K_nu kernel above it."""
+    out = np.empty(vs.shape, dtype=complex)
+    small = vs < _LOG_BESSEL_SMALL_X
+    closed = _bessel_small_scaled(nu, vs[small]) if small.any() else None
+    if closed is None:
+        small[:] = False
+    else:
+        out[small] = closed
+    rest = vs[~small]
+    out[~small] = bessel_k_many(nu, np.exp(rest), spec) * np.exp(abs(nu.real) * rest)
+    return out
+
+
 # Most points that share one panel grid in the batched K_nu kernel.
 _BESSEL_RUN = 64
 
@@ -459,8 +535,14 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
 
     Runs in the log variable r = e^v, which turns the algebraic endpoint
     behaviour r^(power - |Re nu| - |Re mu|) into clean exponential decay.
-    This is the independent oracle for ``weber_schafheitlin_rhs`` (with
-    power = -rho) and for every L^2 norm built on Bessel kernels.
+    The integrand is formed as (r^a K_nu)(r^b K_mu) r^(power + 1 - a - b),
+    a = |Re nu|, b = |Re mu|, with r^a K_nu from its small-x form in v where
+    r < 1e-8, so that neither K_nu^2 nor r leaves the float range when the
+    decay is slow.  This is the independent oracle for
+    ``weber_schafheitlin_rhs`` (with power = -rho) and for every L^2 norm
+    built on Bessel kernels.  Raises ConvergenceError when the coarsest
+    grid would need more than ``spec.max_panels`` panels, i.e. when the
+    decay at r = 0 is slower than about depth / (0.9 max_panels).
     """
     nu, mu, power = complex(nu), complex(mu), complex(power)
     decay_left = power.real + 1.0 - abs(nu.real) - abs(mu.real)
@@ -475,14 +557,16 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     osc = abs(nu.imag) + abs(mu.imag) + abs(power.imag)
     width = min(0.9, math.pi / (2.0 * (1.0 + osc)))
     n = max(8, int(math.ceil((v_max - v_min) / width)))
+    if n > spec.max_panels:
+        raise ConvergenceError(
+            f"moment quadrature needs {n} panels, more than max_panels={spec.max_panels}")
 
     conjugate_pair = mu == nu.conjugate()
 
     def integrand(vs):
-        rs = np.exp(vs)
-        k1 = bessel_k_many(nu, rs, spec)
-        k2 = np.conjugate(k1) if conjugate_pair else bessel_k_many(mu, rs, spec)
-        return k1 * k2 * np.exp((power + 1.0) * vs)
+        k1 = _bessel_k_scaled(nu, vs, spec)
+        k2 = np.conjugate(k1) if conjugate_pair else _bessel_k_scaled(mu, vs, spec)
+        return k1 * k2 * np.exp((power + 1.0 - abs(nu.real) - abs(mu.real)) * vs)
 
     return refine(
         lambda k: composite(integrand, np.linspace(v_min, v_max, n * 2**k + 1)),

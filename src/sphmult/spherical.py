@@ -49,6 +49,7 @@ from .specfun import (
     bessel_k_many,
     bessel_product_moment,
     gamma,
+    log_gamma_ratio,
 )
 
 
@@ -93,13 +94,15 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     ConvergenceError.  Re s = 0 beyond r of about 373 is unsupported for
     now: sech^2 r underflows there, and the two-term Harish-Chandra form
     that would cover it is ROADMAP item 3.  A value beyond the float
-    range raises ConvergenceError too.
+    range raises ConvergenceError too, and a non-finite s or r DomainError.
     """
     m, m0 = group.m, group.m0
     sc = complex(as_spectral(s).value)
     if sc.real < 0:
         sc = -sc
     rr = abs(float(r))
+    if not math.isfinite(rr):
+        raise DomainError(f"phi requires a finite r, got {r}")
     if rr == 0.0:
         return SphericalValue(1.0 + 0.0j, EvalMethod.HYPERGEOMETRIC_STABLE)
     try:
@@ -189,7 +192,23 @@ def phi_lorentz_hyp2(m: int, s, r: float) -> complex:
     return cmath.exp(-(m / 2.0 + sc) * r) * f
 
 
+# Beyond this |Im s| the Gamma factors of c(s) and of the strip norms are
+# formed from log-Gamma ratios.  Below it |G(m/2 + it)|^2 > e^(-64 pi) ~
+# 1e-87 is far from underflow, and the direct products, whose values
+# norm-table and eval print, are kept.
+_DIRECT_GAMMA_T = 64.0
+
+
 def _c_function(m: int, m0: int, sc: complex) -> complex:
+    """c(s) for Re s > 0.  Beyond |Im s| = _DIRECT_GAMMA_T, G(s) is split by
+    the duplication formula, 2^(s-1) G(s/2) G(s/2 + 1/2) / sqrt(pi), into
+    two Gamma ratios at the common imaginary part t/2."""
+    if abs(sc.imag) > _DIRECT_GAMMA_T:
+        sig, y = sc.real / 2.0, sc.imag / 2.0
+        ratios = (log_gamma_ratio(sig, m / 4.0 + sig, y)
+                  + log_gamma_ratio(sig + 0.5, m0 / 4.0 + sig, y))
+        return (2.0 ** (m / 2.0 - 1.0) / math.sqrt(math.pi)
+                * gamma((m + m0) / 4.0).real * cmath.exp(ratios))
     return (
         2.0 ** (m / 2.0 - sc)
         * gamma((m + m0) / 4.0)
@@ -235,14 +254,21 @@ def _open_strip(m: int, s, what: str) -> complex:
 
 def _strip_gammas(m: int, sc: complex) -> tuple[float, float, complex, complex]:
     """G(m/2+sig) G(m/2-sig) |G(m/2+it)|^2, G(m/2)^2, G(m/2+s) and G(m/2-s)
-    at s = sig + i t, the factors of cb_norm_lorentz, bessel_vector_norm_sq
-    and multiplier_l1_norm."""
+    at s = sig + i t in the open strip, the factors of cb_norm_lorentz,
+    bessel_vector_norm_sq and multiplier_l1_norm.
+
+    Beyond |t| = _DIRECT_GAMMA_T, toward the underflow of
+    |G(m/2+it)|^2 ~ e^(-pi |t|), the first, third and fourth come divided
+    by |G(m/2+it)|^2, |G(m/2+it)| and |G(m/2+it)| (the two Gamma ratios
+    are then positive reals), which leaves the two Gamma-form norms
+    unchanged; multiplier_l1_norm stops before that |t|."""
     half = m / 2.0
-    num = (
-        gamma(half + sc.real).real
-        * gamma(half - sc.real).real
-        * abs(gamma(complex(half, sc.imag))) ** 2
-    )
+    sig, t = sc.real, sc.imag
+    num = gamma(half + sig).real * gamma(half - sig).real
+    if abs(t) > _DIRECT_GAMMA_T:
+        return (num, gamma(half).real ** 2, math.exp(log_gamma_ratio(half + sig, half, t).real),
+                math.exp(log_gamma_ratio(half - sig, half, t).real))
+    num = num * abs(gamma(complex(half, t))) ** 2
     return num, gamma(half).real ** 2, gamma(half + sc), gamma(half - sc)
 
 
@@ -323,9 +349,15 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     phi_s restricted to the nilpotent part; equals cb_norm_lorentz.
 
     Computed by quadrature:  2^(3-m) G(m) / (G(m/2)^2 |G(m/2+s) G(m/2-s)|)
-    times int_0^inf |K_s(r)|^2 r^(m-1) dr.
+    times int_0^inf |K_s(r)|^2 r^(m-1) dr.  Beyond |Im s| = 64 it raises
+    ConvergenceError at once: K_s ~ e^(-pi |Im s| / 2) K_sigma is far below
+    the rounding floor of the K_nu kernel there, which fails already at
+    |Im s| = 20 after seconds of work.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
+    if abs(sc.imag) > _DIRECT_GAMMA_T:
+        raise ConvergenceError(
+            f"multiplier_l1_norm: K_s is below the quadrature's rounding floor at s={sc}")
     moment = bessel_product_moment(sc, sc.conjugate(), m - 1.0, spec)
     _, half_sq, g_plus, g_minus = _strip_gammas(m, sc)
     const = 2.0 ** (3.0 - m) * gamma(float(m)).real / (half_sq * abs(g_plus * g_minus))

@@ -79,6 +79,23 @@ class TestNormTable:
         assert code == 2
         assert "so0" in err
 
+    def test_unknown_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "norm-table", "--family", "xx")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown family 'xx'\n"
+
+    def test_large_imaginary_parts(self, capsys):
+        # |G(m/2+it)|^2 underflows beyond t of about 230
+        code, out, _ = run(
+            capsys, "norm-table", "--family", "so0", "--n", "3",
+            "--sigma-range", "0.9:0.9:1", "--t-range=0:500:3",
+        )
+        assert code == 0
+        norms = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+        assert norms[0] == 1.0
+        assert 9.14 < norms[1] < norms[2] < 9.15
+
     def test_bad_range(self, capsys):
         code, _, _ = run(
             capsys,
@@ -168,6 +185,14 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--sigma=nan", "--t=inf", "--r=nan", "--r=inf", "--r=-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "eval", "--family", "so0", "--n", "3", flag)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "finite" in err
 
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "eval", "--family", "e8", "--sigma", "0", "--t", "0")

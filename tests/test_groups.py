@@ -59,6 +59,11 @@ class TestParamsFor:
 
 
 class TestClassify:
+    def test_non_finite_rejected(self):
+        for s in (float("nan"), complex(0.3, float("inf")), complex(float("-inf"), 0.0)):
+            with pytest.raises(DomainError):
+                groups.classify(s, 2)
+
     def test_examples(self):
         assert groups.classify(complex(0, 3), 2) is StripPosition.INTERIOR
         assert groups.classify(complex(1, 0), 2) is StripPosition.BOUNDARY_CONSTANT

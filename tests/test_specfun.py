@@ -73,6 +73,27 @@ class TestGamma:
         assert rel(sf.rgamma(2.5), 1 / sf.gamma(2.5)) < 1e-14
 
 
+class TestLogGammaRatio:
+    def test_matches_gamma(self):
+        for z in gamma_grid(42, 40):
+            x2 = z.real / 2.0 + 0.1
+            want = sf.gamma(z) / sf.gamma(complex(x2, z.imag))
+            assert rel(cmath.exp(sf.log_gamma_ratio(z.real, x2, z.imag)), want) < 1e-13
+
+    def test_large_imaginary_part(self):
+        # both Gammas are ~e^(-pi |y| / 2), far below the float range at
+        # y = 1e4; G(1 + z) = z G(z) fixes their ratio
+        y = 1e4
+        ratio = sf.log_gamma_ratio(2.0, 1.0, y)
+        assert rel(cmath.exp(ratio), complex(1.0, y)) < 1e-14
+        ratio = sf.log_gamma_ratio(0.25, 1.25, -y)
+        assert rel(cmath.exp(-ratio), complex(0.25, -y)) < 1e-14
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            sf.log_gamma_ratio(0.0, 1.0, 2.0)
+
+
 class TestDigamma:
     def test_against_difference_quotient(self):
         for z in (1.0, 2.7, 0.4 + 1.3j, 3.0 - 2.0j):

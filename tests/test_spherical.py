@@ -39,6 +39,12 @@ class TestPhi:
         assert complex(sph.phi(SO13, 0.2 + 0.5j, 0.0)) == 1.0
         assert complex(sph.phi(F4, 3.0 - 2.0j, 0.0)) == 1.0
 
+    def test_non_finite_arguments(self):
+        for s, r in ((math.nan, 1.0), (complex(0.3, math.inf), 1.0), (0.3, math.nan),
+                     (0.3, math.inf), (0.3, -math.inf)):
+            with pytest.raises(DomainError):
+                sph.phi(SO13, s, r)
+
     def test_matches_integral_oracle_example(self):
         target = complex(sph.phi(SO12, 0.2 + 0.5j, 1.3))
         oracle = sph.phi_lorentz_integral(1, 0.2 + 0.5j, 1.3, TIGHT)
@@ -230,6 +236,19 @@ class TestCFunction:
         with pytest.raises(DomainError):
             sph.c_function(SO12, 1j)
 
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_large_imaginary_part(self):
+        # gamma's reflection overflows from |t| of about 230; c is in range
+        with mpmath.workdps(30):
+            for group in (SO12, SO14, F4):
+                m, m0 = group.m, group.m0
+                for s in (0.2 + 70j, 0.3 + 240j, 1.0 - 1e3j, 2.5 + 5e3j, 0.1 + 1e4j):
+                    z = mpmath.mpc(s)
+                    want = complex(2 ** (mpmath.mpf(m) / 2 - z) * mpmath.gamma(mpmath.mpf(m + m0) / 4)
+                                   * mpmath.gamma(z) / (mpmath.gamma(mpmath.mpf(m) / 4 + z / 2)
+                                                        * mpmath.gamma(mpmath.mpf(m0) / 4 + z / 2)))
+                    assert rel(sph.c_function(group, s), want) < 1e-12
+
     def test_limit_of_phi(self):
         # phi e^((m/2-s) r) -> c(s) without invoking the asymptotic branch
         r = 20.0
@@ -339,6 +358,56 @@ class TestCbNorm:
             assert abs(sph.cb_norm_lorentz(m, s) - bound) < 1e-9
 
 
+def mp_cb_norm(m, s):
+    """The cb norm's Gamma expression at 30 digits."""
+    with mpmath.workdps(30):
+        h, s = mpmath.mpf(m) / 2, mpmath.mpc(s)
+        sig, t = s.real, s.imag
+        return float(mpmath.gamma(h + sig) * mpmath.gamma(h - sig)
+                     * abs(mpmath.gamma(h + 1j * t)) ** 2
+                     / (mpmath.gamma(h) ** 2 * abs(mpmath.gamma(h + s) * mpmath.gamma(h - s))))
+
+
+class TestCbNormLargeT:
+    """Beyond |t| of about 230, |G(m/2+it)|^2 ~ e^(-pi |t|) is below the
+    float range; the norm is formed from log-Gamma ratios there."""
+
+    POINTS = [(m, sig) for m in (1, 2, 3, 6, 8) for sig in (0.3, 0.45 * m)]
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @pytest.mark.parametrize("t", [240.0, 300.0, 1e3, 1e4])
+    def test_matches_mpmath(self, t):
+        for m, sig in self.POINTS:
+            for s in (complex(sig, t), complex(-sig, -t)):
+                assert rel(sph.cb_norm_lorentz(m, s), mp_cb_norm(m, s)) < 1e-12
+
+    def test_limit(self):
+        # |G(m/2+it)|^2 / |G(m/2+s) G(m/2-s)| = 1 - sig^2 (m-1) / (2 t^2) + O(t^-4)
+        t = 1e4
+        for m, sig in self.POINTS:
+            h = m / 2.0
+            limit = (gamma(h + sig) * gamma(h - sig) / gamma(h) ** 2).real
+            ratio = sph.cb_norm_lorentz(m, complex(sig, t)) / limit
+            assert abs(ratio - 1.0 + sig**2 * (m - 1) / (2.0 * t * t)) < 1e-11
+            if sig**2 * (m - 1) < 0.2:
+                assert abs(ratio - 1.0) < 1e-9
+
+    def test_continuous_across_log_switch(self):
+        above = math.nextafter(64.0, 65.0)
+        for m, sig in self.POINTS:
+            for norm in (sph.cb_norm_lorentz, sph.bessel_vector_norm_sq):
+                assert rel(norm(m, complex(sig, 64.0)), norm(m, complex(sig, above))) < 1e-13
+
+    def test_bessel_vector_norm_sq(self):
+        for m, sig in self.POINTS:
+            s = complex(sig, 500.0)
+            # cb(s) = sqrt(|v_s|^2 |v_(-conj s)|^2), as on the moderate range
+            bound = math.sqrt(sph.bessel_vector_norm_sq(m, s)
+                              * sph.bessel_vector_norm_sq(m, -s.conjugate()))
+            assert rel(sph.cb_norm_lorentz(m, s), bound) < 1e-12
+        assert abs(sph.bessel_vector_norm_sq(3, 500j) - 1.0) < 1e-13
+
+
 class TestBesselVector:
     def test_conjugation_symmetry(self):
         for m, s, x in ((1, 0.3 + 0.8j, 0.7), (2, -0.5 + 1.2j, 1.0), (3, 0.2 - 0.4j, 2.5)):
@@ -433,6 +502,24 @@ class TestMultiplierL1Norm:
         assert all(b > a for a, b in zip(values, values[1:]))
         for sig, val in zip(sigmas, values):
             assert rel(val, sph.cb_norm_lorentz(1, complex(sig, 1.0))) < 1e-6
+
+    @pytest.mark.parametrize("m,sigma", [(6, 2.9), (3, 1.45), (8, 3.9), (2, 0.99)])
+    def test_close_to_the_strip_edge(self, m, sigma):
+        # |K_s|^2 alone leaves the float range (or r underflows) where the
+        # moment integrand, formed as |r^sig K_s|^2 r^(m-1-2 sig), is small
+        for s in (complex(sigma, 0.0), complex(sigma, 0.4)):
+            assert rel(sph.multiplier_l1_norm(m, s), sph.cb_norm_lorentz(m, s)) < 1e-6
+
+    def test_large_imaginary_part_is_convergence_error(self):
+        # raised at once, not after the kernel's doublings; the constant
+        # underflowed to 0 at t = 240
+        with pytest.raises(ConvergenceError):
+            sph.multiplier_l1_norm(3, 0.3 + 240j)
+
+    def test_too_slow_decay_is_convergence_error(self):
+        # the coarsest grid would need about 2e8 panels
+        with pytest.raises(ConvergenceError):
+            sph.multiplier_l1_norm(2, 1.0 - 1e-7)
 
     def test_domain(self):
         with pytest.raises(DomainError):
