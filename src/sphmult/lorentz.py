@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InvariantError
 from .groups import as_spectral
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
-from .specfun import bessel_k_many, gamma
+from .specfun import _bessel_k_scaled, bessel_k_many, gamma
 from .spherical import _c_m, _kernel_edges, _open_strip
 
 _MATRIX_TOL = 1e-10
@@ -294,7 +294,9 @@ def coefficient_pairing(m: int, s, r: float, y: float,
 
     v_s is the Bessel kernel vector; the solvable-group action sends
     f(x) to e^(mr/2) e^(-i y e^r x) f(e^r x).  Cross-checks phi_on_na,
-    which carries the same content through a prefactor formula.
+    which carries the same content through a prefactor formula.  As there,
+    the integral runs in v = log x with both kernels taken as x^sig K(x),
+    sig = |Re s|, so that it holds up to the strip edge.
     """
     if m != 1:
         raise DomainError("coefficient_pairing supports m = 1 only")
@@ -302,15 +304,15 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     r = float(r)
     lam = math.exp(r) * abs(float(y))
     edges = _kernel_edges(m, sc, r, lam, spec)
-    scale = math.exp(r)
+    sigma = abs(sc.real)
     sc_neg_conj = -sc.conjugate()
     coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc)
     coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc_neg_conj)
 
     def integrand(vs):
-        xs = np.exp(vs)
-        left = coeff_left * bessel_k_many(sc, scale * xs, spec)
-        right = np.conjugate(coeff_right * bessel_k_many(sc_neg_conj, xs, spec))
-        return left * right * np.cos(lam * xs) * xs
+        left = coeff_left * _bessel_k_scaled(sc, vs + r, spec)
+        right = np.conjugate(coeff_right * _bessel_k_scaled(sc_neg_conj, vs, spec))
+        return (left * right * np.cos(lam * np.exp(vs))
+                * np.exp((m - 2.0 * sigma) * vs - sigma * r))
 
     return 2.0 * math.exp(m * r / 2.0) * composite(integrand, edges)

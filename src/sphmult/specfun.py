@@ -5,12 +5,16 @@ Gamma function and composite Gauss-Legendre quadrature.  The module keeps
 its own closed forms and its quadrature oracles strictly separate, so each
 side can be used to validate the other:
 
-* ``gamma``/``beta``/``hyp2f1`` are closed-form evaluations,
+* ``gamma``/``log_gamma``/``beta``/``hyp2f1`` are closed-form evaluations,
 * ``bessel_k`` and ``bessel_k_many`` evaluate the cosh-integral
   representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt
   (x > 0) through one batched kernel: points sorted by truncation point
   share panel grids in runs of up to 64, each grid level is one matrix
-  product, and every point keeps its own stopping rule,
+  product, and every point keeps its own stopping rule.  Below x = 1e-8
+  one closed form, the two leading terms of the small-argument expansion
+  scaled by x^|Re nu| and written in v = log x, takes over; the Bessel
+  kernel integrals take x^|Re nu| K_nu(x) on their log grids from the same
+  helper, ``_bessel_k_scaled``,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
   ``bessel_product_moment`` is its quadrature counterpart.
@@ -19,13 +23,16 @@ Target accuracy is 1e-12 relative for the closed forms and the caller's
 QuadratureSpec tolerance for the integral routines.  ``bessel_k`` is
 accurate to 1e-12 relative, or, near zeros of K_nu with imaginary part in
 the order, to a few ulps of K_{|Re nu|}(x); there its relative accuracy is
-limited by the conditioning K_{|Re nu|}(x) / |K_nu(x)|.
+limited by the conditioning K_{|Re nu|}(x) / |K_nu(x)|.  A closed-form
+value beyond the float range raises ConvergenceError, never a bare
+OverflowError or ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -63,22 +70,69 @@ def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
     return n <= 0 and abs(z - n) < tol
 
 
+# Largest w with exp(w) in the float range.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _exp_in_range(w: complex, what: str) -> complex:
+    """exp(w), or ConvergenceError when it is beyond the float range."""
+    if not w.real <= _LOG_FLOAT_MAX:
+        raise ConvergenceError(f"{what} is beyond the float range")
+    return cmath.exp(w)
+
+
 def gamma(z: complex) -> complex:
     """Gamma function of a complex argument.
 
     Satisfies the recurrence Gamma(z+1) = z*Gamma(z), Legendre's
     duplication formula and conjugation symmetry to ~1e-13 relative.
+    Where the direct Lanczos or reflection form overflows or underflows
+    (|Im z| beyond about 226 for Re z < 1/2, or beyond about 450, or
+    large Re z) it is exp(log_gamma(z)).
 
-    Raises PoleError within 1e-12 of the poles at 0, -1, -2, ...
+    Raises PoleError within 1e-12 of the poles at 0, -1, -2, ..., and
+    ConvergenceError where Gamma(z) itself is beyond the float range.
     """
     z = complex(z)
     if _near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at or near z={z}")
+    try:
+        value = _gamma_direct(z)
+    except OverflowError:
+        value = complex(math.nan)
+    if value != 0 and cmath.isfinite(value):
+        return value
+    return _exp_in_range(log_gamma(z), f"gamma({z})")
+
+
+def _gamma_direct(z: complex) -> complex:
+    """The Lanczos form, reflected below Re z = 1/2; may overflow."""
     if z.real < 0.5:
         # Reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (cmath.sin(math.pi * z) * _gamma_direct(1.0 - z))
     zz, t, acc = _lanczos(z)
     return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+
+
+def log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z), finite wherever z is not a pole.
+
+    The Lanczos sum in log form for Re z >= 1/2; below, the reflection
+    log pi - log sin(pi z) - log Gamma(1 - z) with
+    log sin(pi z) = -i pi z + log((e^(2 pi i z) - 1) / 2i) for Im z >= 0
+    and its conjugate below, so that nothing overflows.  The imaginary
+    part is a branch, not necessarily the principal one.
+    """
+    z = complex(z)
+    if _near_nonpositive_integer(z):
+        raise PoleError(f"log_gamma pole at or near z={z}")
+    if z.real < 0.5:
+        if z.imag < 0.0:
+            return log_gamma(z.conjugate()).conjugate()
+        log_sin = -1j * math.pi * z + cmath.log((cmath.exp(2j * math.pi * z) - 1.0) / 2j)
+        return math.log(math.pi) - log_sin - log_gamma(1.0 - z)
+    zz, t, acc = _lanczos(z)
+    return math.log(_SQRT_TWO_PI) + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def _lanczos(z: complex) -> tuple[complex, complex, complex]:
@@ -119,19 +173,34 @@ def log_gamma_ratio(x1: float, x2: float, y: float) -> complex:
 
 
 def rgamma(z: complex) -> complex:
-    """Reciprocal Gamma function; zero at the poles of Gamma."""
+    """Reciprocal Gamma function; zero at the poles of Gamma.  Where Gamma
+    underflows it is exp(-log_gamma(z)), or ConvergenceError beyond the
+    float range."""
     z = complex(z)
     if _near_nonpositive_integer(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma(z)
+    try:
+        g = gamma(z)
+    except ConvergenceError:
+        g = 0.0j
+    if abs(g) >= sys.float_info.min:
+        return 1.0 / g
+    return _exp_in_range(-log_gamma(z), f"1 / gamma({z})")
 
 
 def beta(a: complex, b: complex) -> complex:
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for Re a, Re b > 0."""
+    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for Re a, Re b > 0;
+    from log_gamma where the Gamma product leaves the float range."""
     a, b = complex(a), complex(b)
     if a.real <= 0 or b.real <= 0:
         raise DomainError("beta requires arguments with positive real part")
-    return gamma(a) * gamma(b) / gamma(a + b)
+    try:
+        value = gamma(a) * gamma(b) / gamma(a + b)
+    except (ConvergenceError, ZeroDivisionError):
+        value = complex(math.nan)
+    if cmath.isfinite(value):
+        return value
+    return _exp_in_range(log_gamma(a) + log_gamma(b) - log_gamma(a + b), "beta")
 
 
 # B_2k / (2k) for k = 1..7: coefficients of the digamma asymptotic tail.
@@ -174,17 +243,31 @@ def _pochhammer_is_terminating(a: complex) -> int | None:
     return None
 
 
-def _hyp2f1_series(a, b, c, z, rtol, max_terms=MAX_SERIES_TERMS):
-    """Gauss series with the three-consecutive-small-terms stopping rule."""
+_EPS = sys.float_info.epsilon
+
+
+def _hyp2f1_series(a, b, c, z, rtol, max_terms=MAX_SERIES_TERMS, conditioned=False):
+    """Gauss series with the three-consecutive-small-terms stopping rule.
+
+    With ``conditioned``, a sum whose rounding, eps * sum |term|, exceeds
+    rtol * |total| raises ConvergenceError instead of returning.
+    """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
+    mass = 1.0
     small = 0
     for k in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        if abs(term) <= rtol * abs(total):
+        size = abs(term)
+        mass += size
+        if size <= rtol * abs(total):
             small += 1
             if small >= 3:
+                if conditioned and _EPS * mass > rtol * abs(total):
+                    raise ConvergenceError(
+                        "hypergeometric series cancels below its tolerance",
+                        best_estimate=total, achieved_error=_EPS * mass)
                 return total
         else:
             small = 0
@@ -278,7 +361,7 @@ def _hyp2f1_zw(a, b, c, z, w, rtol):
         k = min(x for x in (ka, kb) if x is not None)
         return _hyp2f1_series(a, b, c, z, rtol, max_terms=k + 4)
     if abs(z) <= _SERIES_RADIUS:
-        return _hyp2f1_series(a, b, c, z, rtol)
+        return _hyp2f1_series(a, b, c, z, rtol, conditioned=True)
     if z.imag == 0.0:
         x = z.real
         if x < 0.0:
@@ -311,10 +394,19 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex,
     Supported arguments: any complex z with |z| <= 0.75 (power series),
     real z < 0 (Pfaff transformation), and real z in [0.75, 1] (connection
     formula at unit argument, including the logarithmic case c = a + b).
-    Other regions raise DomainError; they are never needed here.
+    Other regions raise DomainError; they are never needed here.  The power
+    series raises ConvergenceError when its terms cancel below rtol, i.e.
+    when eps * sum |term| > rtol * |sum| (at large |Im| parameters), and so
+    does a value beyond the float range.
     """
     z = complex(z)
-    return _hyp2f1_zw(a, b, c, z, 1.0 - z, rtol)
+    try:
+        value = _hyp2f1_zw(a, b, c, z, 1.0 - z, rtol)
+    except OverflowError:
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise ConvergenceError("2F1 is beyond the float range")
+    return value
 
 
 def gauss_value(a: complex, b: complex, c: complex) -> complex:
@@ -322,7 +414,10 @@ def gauss_value(a: complex, b: complex, c: complex) -> complex:
     d = complex(c) - a - b
     if d.real <= 0:
         raise DomainError("2F1 at unit argument requires Re(c-a-b) > 0")
-    return _gauss_ratio(a, b, c, d)
+    value = _gauss_ratio(a, b, c, d)
+    if not cmath.isfinite(value):
+        raise ConvergenceError("2F1 at unit argument is beyond the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -336,50 +431,49 @@ _BESSEL_ROUNDING_FLOOR = 8.0 * float(np.finfo(float).eps)
 # Below this the two leading terms of the small-argument expansion are
 # already exact to double precision (corrections are O(x^2) relative).
 _BESSEL_SMALL_X = 1e-8
-
-
-def _bessel_small_x(nu: complex, x):
-    """Leading small-x form of K_nu; valid for x < _BESSEL_SMALL_X.
-
-    Returns None when the order is too close to a nonzero integer for the
-    Gamma(+-nu) pair to be evaluated stably; callers then fall back to
-    quadrature.
-    """
-    n = round(nu.real)
-    if abs(nu - n) < 1e-6 and abs(nu.imag) < 1e-6:
-        if n == 0 and abs(nu) < 1e-12:
-            return -(np.log(x / 2.0) + EULER_GAMMA) + 0.0j
-        return None
-    half = np.asarray(x, dtype=float) / 2.0
-    return 0.5 * (gamma(nu) * half ** (-nu) + gamma(-nu) * half**nu)
-
-
 _LOG_BESSEL_SMALL_X = math.log(_BESSEL_SMALL_X)
 
+# Orders |nu| <= _TEMME_NU take Temme's form, with
+# (log G(1+nu) - log G(1-nu)) / nu = -2 (gamma + sum_j zeta(2j+1) nu^2j / (2j+1))
+# to j = 3 (the next term is below 3e-17).  Beyond it the two Gamma terms
+# cancel by less than 1 / (|nu| log(2/r)) < 6, and the direct form is used.
+_TEMME_NU = 0.01
+_TEMME_ZETA = (1.2020569031595943 / 3.0, 1.0369277551433699 / 5.0, 1.0083492773819228 / 7.0)
+_BESSEL_PAIR_TOL = 1e-15
 
-def _bessel_small_scaled(nu: complex, vs: np.ndarray):
+
+def _bessel_small_scaled(nu: complex, vs: np.ndarray) -> np.ndarray:
     """r^sigma K_nu(r), sigma = |Re nu|, at r = e^v < _BESSEL_SMALL_X.
 
-    The form of _bessel_small_x written in v, so that r is never formed:
-    (G(nu) 2^nu e^(-i Im(nu) v) + G(-nu) 2^-nu e^((2 sigma + i Im(nu)) v)) / 2
-    for Re nu >= 0.  Within 1e-6 of a nonzero integer order the second
-    term, with its Gamma pole, cancels against the first one's O(r^2)
-    correction, so both are dropped.  Returns None within 1e-6 of zero
-    order (except below 1e-12, the K_0 form), where G(+-nu) cancel.
-    ``bessel_k`` keeps the x form, whose values near zeros of K_it differ
-    from these by rounding of the mass K_0(x).
+    The two leading terms (G(nu) (r/2)^-nu + G(-nu) (r/2)^nu) / 2 for
+    Re nu >= 0, written in v so that r is never formed.  Both are O(1/nu)
+    near nu = 0, where Temme's form takes them together as
+    -G(1+nu) (r/2)^-nu expm1(nu mu) / (2 nu), with
+    nu mu = 2 nu log(r/2) + log G(1-nu) - log G(1+nu); it gives
+    -(log(r/2) + gamma) at nu = 0.  Near a nonzero integer n the second
+    term cancels against the first one's (r/2)^(2n) correction, so both are
+    left out where (r/2)^2 >= _BESSEL_PAIR_TOL |nu - n|, and within 1e-12
+    of n, where G(-nu) is at its pole and the pair is below 1e-15 of the
+    first term.  Either way the omitted terms are below about 1e-15
+    relative.
     """
     if nu.real < 0:
         nu = -nu
+    if abs(nu) <= _TEMME_NU:
+        nu2 = nu * nu
+        mu = 2.0 * (vs - math.log(2.0) + EULER_GAMMA
+                    + nu2 * (_TEMME_ZETA[0] + nu2 * (_TEMME_ZETA[1] + nu2 * _TEMME_ZETA[2])))
+        # (e^(nu mu) - 1) / nu, which is mu to double precision for tiny nu
+        pair = np.expm1(nu * mu) / nu if abs(nu) > 1e-200 else mu
+        return -0.5 * gamma(1.0 + nu) * 2.0**nu * np.exp(-1j * nu.imag * vs) * pair
+    first = gamma(nu) * 2.0**nu * np.exp(-1j * nu.imag * vs)
     n = round(nu.real)
-    if abs(nu - n) < 1e-6:
-        if n != 0:
-            return 0.5 * gamma(nu) * 2.0**nu * np.exp(-1j * nu.imag * vs)
-        if abs(nu) < 1e-12:
-            return -(vs - math.log(2.0) + EULER_GAMMA) + 0.0j
-        return None
-    return 0.5 * (gamma(nu) * 2.0**nu * np.exp(-1j * nu.imag * vs)
-                  + gamma(-nu) * 2.0**-nu * np.exp((2.0 * nu.real + 1j * nu.imag) * vs))
+    gap = abs(nu - n) if n else math.inf
+    if gap < _POLE_TOL:
+        return 0.5 * first
+    keep = vs < math.log(2.0) + 0.5 * math.log(_BESSEL_PAIR_TOL * gap)  # (r/2)^2 < tol gap
+    second = gamma(-nu) * 2.0**-nu * np.exp((2.0 * nu.real + 1j * nu.imag) * vs)
+    return 0.5 * (first + np.where(keep, second, 0.0))
 
 
 def _bessel_k_scaled(nu: complex, vs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
@@ -387,11 +481,7 @@ def _bessel_k_scaled(nu: complex, vs: np.ndarray, spec: QuadratureSpec) -> np.nd
     small-x form in v below _BESSEL_SMALL_X, the K_nu kernel above it."""
     out = np.empty(vs.shape, dtype=complex)
     small = vs < _LOG_BESSEL_SMALL_X
-    closed = _bessel_small_scaled(nu, vs[small]) if small.any() else None
-    if closed is None:
-        small[:] = False
-    else:
-        out[small] = closed
+    out[small] = _bessel_small_scaled(nu, vs[small])
     rest = vs[~small]
     out[~small] = bessel_k_many(nu, np.exp(rest), spec) * np.exp(abs(nu.real) * rest)
     return out
@@ -424,14 +514,10 @@ def _bessel_k_array(nu: complex, xs: np.ndarray, spec: QuadratureSpec) -> np.nda
         raise DomainError("bessel_k requires x > 0")
     out = np.empty(xs.shape, dtype=complex)
     small = xs < _BESSEL_SMALL_X
-    if small.any():
-        closed = _bessel_small_x(nu, xs[small])
-        if closed is None:
-            small = np.zeros_like(small)
-        else:
-            out[small] = closed
-    rest = xs[~small]
     sigma = abs(nu.real)
+    if small.any():
+        out[small] = _bessel_small_scaled(nu, np.log(xs[small])) * xs[small] ** -sigma
+    rest = xs[~small]
     # Cut each integral at T >= acosh(2) where x cosh T - sigma T exceeds
     # its value at the envelope's peak, t = asinh(sigma / x), by 40 e-folds
     # (~4e-18) plus the spec's margin.  Started below the peak (target < 0
@@ -499,11 +585,16 @@ def bessel_k_many(nu: complex, xs: Sequence[float],
                   spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """Vector of K_nu over positive abscissas, with the rules of ``bessel_k``.
 
-    Small abscissas take the closed small-x form.  The rest are sorted by
-    truncation point and integrated in runs of at most 64 points that
-    share each panel grid, one matrix product per grid; a run's grid
-    reaches its longest cut, so a value agrees with ``bessel_k`` to
-    rounding of K_sigma(x) and does not depend on the order of ``xs``.
+    Abscissas below 1e-8 take the small-x closed form, within 3e-15
+    relative of mpmath at every order (Temme's form near nu = 0; near a
+    nonzero integer order the cancelling pair of terms is dropped inside a
+    window sized from its error), or near zeros of K_nu to ulps of
+    K_sigma(x); a value beyond the float range is not finite.  The rest
+    are sorted by truncation point and integrated in runs of at most 64
+    points that share each panel grid, one matrix product per grid; a
+    run's grid reaches its longest cut, so a value agrees with
+    ``bessel_k`` to rounding of K_sigma(x) and does not depend on the
+    order of ``xs``.
     Raises DomainError when any abscissa is not positive.
     """
     return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)

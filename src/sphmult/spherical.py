@@ -44,9 +44,9 @@ from .quadrature import (
 )
 from .specfun import (
     SPECIAL_RTOL,
+    _bessel_k_scaled,
     _hyp2f1_zw,
     bessel_k,
-    bessel_k_many,
     bessel_product_moment,
     gamma,
     log_gamma_ratio,
@@ -91,7 +91,10 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     7.4e-8 on SU(1,3) (ROADMAP item 3).  Otherwise the stable
     hypergeometric form is used; where it fails, SO0 falls back to
     ``phi_lorentz_integral`` for r <= 100 and everything else raises
-    ConvergenceError.  Re s = 0 beyond r of about 373 is unsupported for
+    ConvergenceError.  It fails at integer c - a - b near the unit
+    argument, and at large |Im s| for r below about 1.32, where its power
+    series cancels below the 1e-12 tolerance (from |Im s| of about 12 on
+    SO0(1,3) at r = 1).  Re s = 0 beyond r of about 373 is unsupported for
     now: sech^2 r underflows there, and the two-term Harish-Chandra form
     that would cover it is ROADMAP item 3.  A value beyond the float
     range raises ConvergenceError too, and a non-finite s or r DomainError.
@@ -181,15 +184,20 @@ def phi_lorentz_hyp2(m: int, s, r: float) -> complex:
     """Second closed form of phi_s(a_r) on SO0(1, m+1), for r >= 0.
 
     e^(-(m/2+s) r) * F(m/2+s, m/2; m; 1 - e^(-2r)); the hypergeometric
-    argument is passed together with its exact complement e^(-2r).
+    argument is passed together with its exact complement e^(-2r).  A
+    value beyond the float range raises ConvergenceError, as in ``phi``.
     """
     if r < 0:
         raise DomainError("phi_lorentz_hyp2 requires r >= 0; symmetrize first")
     sc = complex(as_spectral(s).value)
     w = math.exp(-2.0 * r)
     z = -math.expm1(-2.0 * r)
-    f = _hyp2f1_zw(m / 2.0 + sc, m / 2.0, float(m), z, w, SPECIAL_RTOL)
-    return cmath.exp(-(m / 2.0 + sc) * r) * f
+    try:
+        value = (cmath.exp(-(m / 2.0 + sc) * r)
+                 * _hyp2f1_zw(m / 2.0 + sc, m / 2.0, float(m), z, w, SPECIAL_RTOL))
+    except OverflowError:
+        value = complex(math.inf)
+    return _in_float_range(value, sc, r)
 
 
 # Beyond this |Im s| the Gamma factors of c(s) and of the strip norms are
@@ -369,19 +377,31 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 
 
 def _angular_factor(m: int, lam: np.ndarray) -> np.ndarray:
-    """int_{S^(m-1)} cos(lam <omega, e1>) dsurface(omega), vectorized in lam."""
+    """int_{S^(m-1)} cos(lam <omega, e1>) dsurface(omega), vectorized in lam.
+
+    Below |lam| = 1e-8 it is the sphere's area to double precision, so the
+    m = 2, 3 node products run only where the plane wave varies, not on
+    the long small-x tail of the kernel integrals.
+    """
+    if m not in (1, 2, 3):
+        raise DomainError("direct quadrature supports m in {1, 2, 3}")
     lam = np.asarray(lam, dtype=float)
+    out = np.full(lam.shape, (2.0, 2.0 * math.pi, 4.0 * math.pi)[m - 1])
+    wave = np.abs(lam) >= 1e-8
+    if not wave.any():
+        return out
+    lam = lam[wave]
     if m == 1:
-        return 2.0 * np.cos(lam)
-    if m == 2:
+        out[wave] = 2.0 * np.cos(lam)
+    elif m == 2:
         n = 64 + 8 * int(np.ceil(np.max(np.abs(lam)) / 4.0))
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return np.cos(np.outer(lam, np.cos(theta))).sum(axis=1) * (2.0 * math.pi / n)
-    if m == 3:
+        out[wave] = np.cos(np.outer(lam, np.cos(theta))).sum(axis=1) * (2.0 * math.pi / n)
+    else:
         n = 48 + 8 * int(np.ceil(np.max(np.abs(lam)) / 4.0))
         nodes, weights = np.polynomial.legendre.leggauss(n)
-        return 2.0 * math.pi * np.cos(np.outer(lam, nodes)) @ weights
-    raise DomainError("direct quadrature supports m in {1, 2, 3}")
+        out[wave] = 2.0 * math.pi * np.cos(np.outer(lam, nodes)) @ weights
+    return out
 
 
 def _kernel_edges(m: int, sc: complex, r: float, lam: float,
@@ -403,8 +423,14 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
 
     For y = 0 this reproduces phi_s(a_r); for r = 0 it is the Fourier
     transform of the squared-Bessel kernel at y.  Supports m in {1,2,3}
-    and s in the open strip.  Raises ConvergenceError, with the estimate
-    in the same units, when two panel bisections do not settle.
+    and s in the open strip.  The integral runs in v = log x over
+    [-D / (m - 2 sig), ...], D the spec's truncation depth and
+    sig = |Re s|, with both kernels taken as x^sig K_s(x) from
+    ``specfun._bessel_k_scaled``, so that neither x nor K_s leaves the
+    float range toward the strip edge (checked at sig = m/2 - 0.001,
+    where the grid has about 23,000 panels).  Raises ConvergenceError,
+    with the estimate in the same units, when two panel bisections do not
+    settle.
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -414,13 +440,14 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave
 
     edges = _kernel_edges(m, sc, r, lam, spec)
-    scale = math.exp(r)
+    sigma = abs(sc.real)
 
     def integrand(vs):
-        xs = np.exp(vs)
-        k_near = bessel_k_many(sc, xs, spec)
-        k_far = bessel_k_many(sc, scale * xs, spec)
-        return k_near * k_far * _angular_factor(m, lam * xs) * np.exp(m * vs)
+        # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
+        k_near = _bessel_k_scaled(sc, vs, spec)
+        k_far = _bessel_k_scaled(sc, vs + r, spec)
+        return (k_near * k_far * _angular_factor(m, lam * np.exp(vs))
+                * np.exp((m - 2.0 * sigma) * vs - sigma * r))
 
     def estimate(k):
         e = edges

@@ -168,6 +168,28 @@ class TestEval:
         assert code == 0
         assert out.endswith("  cb multiplier norm           NOT_MULTIPLIER\n")
 
+    def test_large_imaginary_part(self, capsys):
+        # gamma's reflection overflowed at t = 240 (a traceback); beyond
+        # it the Gauss ratio of the second form leaves the float range
+        code, out, err = run(
+            capsys, "eval", "--family", "so0", "--n", "3", "--format", "json",
+            "--sigma", "0.3", "--t", "240", "--r", "1",
+        )
+        assert code == 0 and err == ""
+        second = complex(*json.loads(out)["methods"]["hypergeometric_second_form"])
+        # e^(-(1 + s)) F(1 + s, 1; 2; 1 - e^-2) at 50 digits (mpmath)
+        expected = 0.0035044804211999800 - 0.00034735711077536070j
+        assert abs(second - expected) < 1e-12 * abs(expected)
+        for t in ("500", "1e3", "1e4"):
+            code, out, err = run(
+                capsys, "eval", "--family", "so0", "--n", "3",
+                "--sigma", "0.3", "--t", t, "--r", "1",
+            )
+            assert code in (0, 1)
+            if code:
+                assert out == ""
+                assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_unsupported_point_is_runtime_failure(self, capsys):
         code, out, err = run(
             capsys, "eval", "--family", "su", "--n", "2",

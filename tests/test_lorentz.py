@@ -348,6 +348,14 @@ class TestCoefficientPairing:
             v2 = sph.phi_on_na(1, s, r, y)
             assert abs(v1 - v2) < 1e-5
 
+    @pytest.mark.parametrize("sigma", [0.49, 0.499])
+    def test_close_to_the_strip_edge(self, sigma):
+        # e^v underflowed at the left end of the grid: DomainError before
+        for s in (complex(sigma, 0.0), complex(sigma, 0.3)):
+            v1 = lz.coefficient_pairing(1, s, 0.5, 0.3)
+            v2 = sph.phi_on_na(1, s, 0.5, 0.3)
+            assert abs(v1 - v2) < 1e-10
+
     def test_reduces_to_phi(self):
         g2 = groups.params_for("so0", 2)
         v = lz.coefficient_pairing(1, 0.3 + 0.5j, 0.9, 0.0)

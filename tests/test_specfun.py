@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from sphmult import specfun as sf
-from sphmult.errors import ConvergenceError, DomainError, PoleError
+from sphmult.errors import ConvergenceError, DomainError, PoleError, SphmultError
 from sphmult.quadrature import _GL_NODES, _GL_WEIGHTS, QuadratureSpec, integrate
+
+try:
+    import mpmath
+except ImportError:  # the reference-value tests below are skipped without it
+    mpmath = None
+
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
 
 TIGHT = QuadratureSpec(1e-11, 1e-16, 60000, 5.0)
 
@@ -71,6 +78,56 @@ class TestGamma:
         assert sf.rgamma(0) == 0
         assert sf.rgamma(-5) == 0
         assert rel(sf.rgamma(2.5), 1 / sf.gamma(2.5)) < 1e-14
+
+    @needs_mpmath
+    def test_beyond_the_direct_forms(self):
+        # sin(pi z) of the reflection overflowed from |Im z| of about 226
+        # (OverflowError), and the Lanczos product underflowed to 0 at
+        # 20.5 + 500i, where |Gamma| is about 2e-287
+        for z in (0.3 + 240j, -2.7 - 300j, 20.5 + 500j, -150.3 + 50j):
+            assert rel(sf.gamma(z), complex(mpmath.gamma(z))) < 1e-12
+
+    def test_finite_input_never_leaks_float_errors(self):
+        # a value, or a package error where the result leaves the float range
+        def value_or_package_error(f, *args):
+            try:
+                assert cmath.isfinite(f(*args))
+            except SphmultError:
+                pass
+
+        for x in (-300.5, -20.5, 0.3, 1.2, 20.5, 160.0, 200.0):
+            for y in (0.0, 1.0, 240.0, 500.0, 1e3, 1e4):
+                z = complex(x, y)
+                value_or_package_error(sf.gamma, z)
+                value_or_package_error(sf.rgamma, z)
+                if x > 0:
+                    value_or_package_error(sf.beta, z, 0.7)
+                    value_or_package_error(sf.beta, z, z.conjugate())
+        for t in (0.0, 240.0, 500.0, 1e4):
+            for sigma in (0.3, -3.0):
+                s = complex(sigma, t)
+                value_or_package_error(sf.gauss_value, 1.0 + s, 1.0, 5.0)
+                for z in (0.5, 0.9, -3.0, -1e6, 1.0):
+                    value_or_package_error(sf.hyp2f1, 0.5 - s / 2, 1.0 - s / 2, 1.5, z)
+        with pytest.raises(ConvergenceError):
+            sf.rgamma(0.3 + 500j)  # about e^785; ZeroDivisionError before
+
+
+class TestLogGamma:
+    def test_matches_gamma(self):
+        for z in gamma_grid(8, 40) + [-z for z in gamma_grid(9, 40)]:
+            assert rel(cmath.exp(sf.log_gamma(z)), sf.gamma(z)) < 1e-12
+
+    def test_reflection_side_is_finite_at_large_imaginary_part(self):
+        # |Gamma(0.3 + 1e4 i)| = e^(-15708) is far below the float range
+        for z in (0.3 + 1e4j, 0.3 - 1e4j, -40.5 + 3e3j):
+            assert cmath.isfinite(sf.log_gamma(z))
+        value = sf.log_gamma(0.3 + 1e4j).real
+        assert abs(value - (-0.2 * math.log(1e4) - math.pi * 1e4 / 2 + 0.5 * math.log(2 * math.pi))) < 1e-6
+
+    def test_pole(self):
+        with pytest.raises(PoleError):
+            sf.log_gamma(-3.0)
 
 
 class TestLogGammaRatio:
@@ -191,6 +248,26 @@ class TestHyp2F1:
             via_series = sf._hyp2f1_series(a, b, a + b, z, 1e-14)
             assert rel(via_connection, via_series) < 1e-11
 
+    def test_series_cancellation_raises(self):
+        # phi on SO0(1,3) at s = 0.3 + ti, r = 1: the terms reach 3.3e4
+        # times the sum at t = 12 and 1e11 at t = 30; the sum was returned
+        # 9.2e-13, 3.6e-6 and O(1) off at t = 12, 30 and 50, 4e17 at t = 100
+        z = math.tanh(1.0) ** 2
+        for t in (12.0, 30.0, 50.0, 100.0):
+            s = complex(0.3, t)
+            with pytest.raises(ConvergenceError) as excinfo:
+                sf.hyp2f1(0.5 - s / 2, 1.0 - s / 2, 1.5, z)
+            assert excinfo.value.best_estimate is not None
+            assert excinfo.value.achieved_error > 1e-12 * abs(excinfo.value.best_estimate)
+
+    @needs_mpmath
+    def test_well_conditioned_series_returns(self):
+        z = math.tanh(1.0) ** 2
+        for t in (0.0, 3.0, 8.0):
+            s = complex(0.3, t)
+            a, b = 0.5 - s / 2, 1.0 - s / 2
+            assert rel(sf.hyp2f1(a, b, 1.5, z), complex(mpmath.hyp2f1(a, b, 1.5, z))) < 1e-12
+
     def test_unit_argument(self):
         assert rel(sf.hyp2f1(0.3, 0.2, 1.7, 1.0), sf.gauss_value(0.3, 0.2, 1.7)) < 1e-13
         with pytest.raises((ConvergenceError, DomainError)):
@@ -242,7 +319,7 @@ class TestBesselK:
         # continuity across the small-argument handoff
         nu = 0.4 + 0.9j
         just_above = sf.bessel_k(nu, 1.1e-8)
-        closed = complex(sf._bessel_small_x(nu, 1.1e-8))
+        closed = complex(sf._bessel_small_scaled(nu, np.log([1.1e-8]))[0]) * 1.1e-8 ** -0.4
         assert rel(just_above, closed) < 1e-12
 
     def test_batch_matches_scalar(self):
@@ -266,8 +343,30 @@ class TestBesselK:
         # 1e-12 of itself.
         x = 7.496087130137512e-08
         val = sf.bessel_k(1.3j, x)
-        closed = complex(sf._bessel_small_x(1.3j, x))
+        closed = complex(sf._bessel_small_scaled(1.3j, np.log([x]))[0])  # sigma = 0: K itself
         assert abs(val - closed) < 1e-12 * sf.bessel_k(0.0, x).real
+
+    @needs_mpmath
+    def test_small_x_grid(self):
+        # The small-x form was 1.4e-11 off at nu = 2e-6 (G(+-nu) cancel),
+        # 2.5e-11 at nu = 1 - 1e-6 and 1.2e-11 at 1 + 2e-6 (fixed 1e-6
+        # window around nonzero integers), and fell back to quadrature,
+        # which cannot reach x = 1e-300, near integers.  Values beyond the
+        # float range are left out.
+        orders = [complex(n + sign * d) for n in range(4)
+                  for d in (0.0, 1e-13, 1e-9, 1e-6, 2e-6, 1e-5, 1e-3, 1e-2)
+                  for sign in ((1,) if d == 0.0 else (1, -1))]
+        orders += [1e-6j, 1 + 1e-6j, 0.4 + 0.9j]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for nu in orders:
+                for x in (1e-300, 1e-100, 1e-12, 1e-9, 9.9e-9):
+                    want = mpmath.besselk(mpmath.mpc(nu), x)
+                    if not math.isfinite(float(abs(want))):
+                        continue
+                    err = float(abs(sf.bessel_k(nu, x) - want))
+                    mass = float(mpmath.besselk(abs(nu.real), x))
+                    assert err <= max(1e-12 * float(abs(want)), 8 * eps * mass), (nu, x)
 
     def test_imaginary_axis_sweep_converges(self):
         xs = np.logspace(-9, math.log10(30.0), 500)

@@ -35,6 +35,19 @@ class TestPhi:
             for r in (0.0, 1.7, 6.0, 40.0):
                 assert rel(complex(sph.phi(group, group.m / 2.0, r)), 1.0) < 1e-12
 
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_cancelling_series_is_not_returned(self):
+        # tanh^2(1) lies in the power-series region, whose terms cancel at
+        # large |Im s|: the sum was 3.6e-6 off at t = 30 and O(1) at t = 50.
+        # SO0 takes its quadrature form there, the other families raise.
+        for t in (12.0, 30.0, 50.0):
+            s = complex(0.3, t)
+            value = sph.phi(SO13, s, 1.0)
+            assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+            assert rel(complex(value), mp_phi_so0(2, s, 1.0)) < 1e-10
+        with pytest.raises(ConvergenceError):
+            sph.phi(groups.params_for("su", 2), complex(0.3, 50.0), 1.0)
+
     def test_one_at_origin(self):
         assert complex(sph.phi(SO13, 0.2 + 0.5j, 0.0)) == 1.0
         assert complex(sph.phi(F4, 3.0 - 2.0j, 0.0)) == 1.0
@@ -560,13 +573,31 @@ class TestPhiOnNA:
         val = sph.phi_on_na(3, 0.1 + 0.5j, 0.0, [25.0, 0.0, 0.0], loose)
         assert abs(val) < 1e-3
 
-    def test_unconverged_refinement_raises(self):
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        # Levels 1e-12 apart cannot meet a 1e-17 tolerance, whatever the
+        # rounding of the integrand (which may also make them agree exactly).
         s = 0.2 + 0.5j
+        composite = sph.composite
+        monkeypatch.setattr(sph, "composite",
+                            lambda f, edges: composite(f, edges) * (1.0 + 1e-12 * len(edges)))
         with pytest.raises(ConvergenceError) as excinfo:
             sph.phi_on_na(1, s, 0.7, 0.4, QuadratureSpec(relative_tolerance=1e-17))
+        monkeypatch.undo()
         # the estimate carries the prefactor, like a returned value
         assert rel(excinfo.value.best_estimate, sph.phi_on_na(1, s, 0.7, 0.4)) < 1e-6
         assert excinfo.value.achieved_error < 1e-6
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("gap", [0.05, 0.01, 0.001])
+    def test_close_to_the_strip_edge(self, m, gap):
+        # x = e^v underflowed at the left end of the grid (DomainError), or
+        # K_s overflowed there (ConvergenceError at m = 3, gap = 0.05); the
+        # kernels are now formed as x^sig K_s(x)
+        s = m / 2.0 - gap
+        group = groups.params_for("so0", m + 1)
+        for r in (0.5, 1.0):
+            v = sph.phi_on_na(m, s, r, [0.0] * m)
+            assert abs(v - complex(sph.phi(group, s, r))) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
