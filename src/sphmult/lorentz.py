@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InvariantError
 from .groups import as_spectral
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
-from .specfun import _bessel_k_scaled, bessel_k_many, gamma
+from .specfun import _bessel_k_scaled, bessel_k_many, rgamma
 from .spherical import _c_m, _kernel_edges, _open_strip
 
 _MATRIX_TOL = 1e-10
@@ -274,13 +274,8 @@ def fhat_check(m: int, s, y_norm: float,
     )
     direct = c1 / math.sqrt(2.0 * math.pi) * 2.0 * (body + tail)
 
-    closed = (
-        c1
-        * 2.0 ** (1.0 - m / 2.0)
-        / gamma(m / 2.0 + sc)
-        * (y / 2.0) ** sc
-        * complex(bessel_k_many(sc, [y], spec)[0])
-    )
+    closed = (c1 * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc) * (y / 2.0) ** sc
+              * complex(bessel_k_many(sc, [y], spec)[0]))
     return direct, closed
 
 
@@ -306,8 +301,8 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     edges = _kernel_edges(m, sc, r, lam, spec)
     sigma = abs(sc.real)
     sc_neg_conj = -sc.conjugate()
-    coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc)
-    coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) / gamma(m / 2.0 + sc_neg_conj)
+    coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc)
+    coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc_neg_conj)
 
     def integrand(vs):
         left = coeff_left * _bessel_k_scaled(sc, vs + r, spec)

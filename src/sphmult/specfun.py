@@ -5,7 +5,10 @@ Gamma function and composite Gauss-Legendre quadrature.  The module keeps
 its own closed forms and its quadrature oracles strictly separate, so each
 side can be used to validate the other:
 
-* ``gamma``/``log_gamma``/``beta``/``hyp2f1`` are closed-form evaluations,
+* ``gamma``/``log_gamma``/``beta``/``hyp2f1`` are closed-form evaluations;
+  every Gamma product, ``gamma`` and ``rgamma`` included, is one
+  ``gamma_ratio`` call (direct below |Im z| = 32, paired logs beyond),
+  which holds to |Im z| = 1e4,
 * ``bessel_k`` and ``bessel_k_many`` evaluate the cosh-integral
   representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt
   (x > 0) through one batched kernel: points sorted by truncation point
@@ -50,7 +53,7 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # 1e-13 relative on the half-plane Re z >= 0.5; the reflection formula
 # covers the rest.
 _LANCZOS_G = 7.0
-_LANCZOS = (
+_L0, _L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8 = (
     0.99999999999980993,
     676.5203681218851,
     -1259.1392167224028,
@@ -66,6 +69,8 @@ _POLE_TOL = 1e-12
 
 
 def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
+    if z.real >= tol:
+        return False
     n = round(z.real)
     return n <= 0 and abs(z - n) < tol
 
@@ -73,36 +78,72 @@ def _near_nonpositive_integer(z: complex, tol: float = _POLE_TOL) -> bool:
 # Largest w with exp(w) in the float range.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# |Im z| bound, per argument, of gamma_ratio's direct form; c(s) meets
+# Gammas at s/2, so it stays direct up to |Im s| = 64.
+_DIRECT_GAMMA_IM = 32.0
 
-def _exp_in_range(w: complex, what: str) -> complex:
-    """exp(w), or ConvergenceError when it is beyond the float range."""
+
+def gamma_ratio(nums: Sequence[complex], dens: Sequence[complex] = ()) -> complex:
+    """prod Gamma(nums) / prod Gamma(dens), the one owner of Gamma products.
+
+    While every argument has |Im z| <= 32, the product of direct Lanczos
+    values; beyond that, or where it leaves the float range, one exp of
+    summed logs, in which each numerator meets the first unused denominator
+    with its imaginary part y in ``log_gamma_ratio``'s paired form (any real
+    parts), so that their e^(-pi |y| / 2) decays cancel: within 1e-13 of
+    mpmath up to |y| = 1e4.  0 at a denominator pole, PoleError at a
+    numerator pole, ConvergenceError beyond the float range.
+    """
+    nums = [complex(z) for z in nums]
+    dens = [complex(z) for z in dens]
+    direct = True
+    for z in nums:
+        if _near_nonpositive_integer(z):
+            raise PoleError(f"gamma pole at or near z={z}")
+        direct = direct and abs(z.imag) <= _DIRECT_GAMMA_IM
+    for z in dens:
+        if _near_nonpositive_integer(z):
+            return 0.0 + 0.0j
+        direct = direct and abs(z.imag) <= _DIRECT_GAMMA_IM
+    if direct:
+        try:
+            value = math.prod(map(_gamma_direct, nums)) / math.prod(map(_gamma_direct, dens))
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if value != 0 and cmath.isfinite(value):
+            return complex(value)
+    w = _log_gamma_sum(nums, dens)
     if not w.real <= _LOG_FLOAT_MAX:
-        raise ConvergenceError(f"{what} is beyond the float range")
+        raise ConvergenceError(
+            f"the Gamma ratio of {nums} over {dens} is beyond the float range")
     return cmath.exp(w)
 
 
+def _log_gamma_sum(nums: list[complex], dens: list[complex]) -> complex:
+    """A logarithm of gamma_ratio(nums, dens), pairing equal imaginary parts."""
+    dens = list(dens)
+    total = 0.0j
+    for z in nums:
+        d = next((d for d in dens if d.imag == z.imag), None)
+        if d is None:
+            total += log_gamma(z)
+            continue
+        dens.remove(d)
+        total += _paired_log_ratio(z, d)
+    for d in dens:
+        total -= log_gamma(d)
+    return total
+
+
 def gamma(z: complex) -> complex:
-    """Gamma function of a complex argument.
+    """Gamma function of a complex argument; ``gamma_ratio`` of one numerator.
 
     Satisfies the recurrence Gamma(z+1) = z*Gamma(z), Legendre's
     duplication formula and conjugation symmetry to ~1e-13 relative.
-    Where the direct Lanczos or reflection form overflows or underflows
-    (|Im z| beyond about 226 for Re z < 1/2, or beyond about 450, or
-    large Re z) it is exp(log_gamma(z)).
-
     Raises PoleError within 1e-12 of the poles at 0, -1, -2, ..., and
     ConvergenceError where Gamma(z) itself is beyond the float range.
     """
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at or near z={z}")
-    try:
-        value = _gamma_direct(z)
-    except OverflowError:
-        value = complex(math.nan)
-    if value != 0 and cmath.isfinite(value):
-        return value
-    return _exp_in_range(log_gamma(z), f"gamma({z})")
+    return gamma_ratio((z,))
 
 
 def _gamma_direct(z: complex) -> complex:
@@ -138,9 +179,8 @@ def log_gamma(z: complex) -> complex:
 def _lanczos(z: complex) -> tuple[complex, complex, complex]:
     """z - 1, z + g - 1/2 and the Lanczos sum, for Re z >= 0.5."""
     zz = z - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (zz + i)
+    acc = (_L0 + _L1 / (zz + 1.0) + _L2 / (zz + 2.0) + _L3 / (zz + 3.0) + _L4 / (zz + 4.0)
+           + _L5 / (zz + 5.0) + _L6 / (zz + 6.0) + _L7 / (zz + 7.0) + _L8 / (zz + 8.0))
     return zz, zz + _LANCZOS_G + 0.5, acc
 
 
@@ -154,17 +194,23 @@ def log_gamma_ratio(x1: float, x2: float, y: float) -> complex:
     """
     if x1 <= 0.0 or x2 <= 0.0:
         raise DomainError("log_gamma_ratio requires positive real parts")
-    y = float(y)
+    return _paired_log_ratio(complex(x1, y), complex(x2, y))
 
-    def parts(x):
-        z, shift = complex(x, y), 0.0j
-        if x < 0.5:
-            z, shift = z + 1.0, cmath.log(z)
+
+def _paired_log_ratio(z1: complex, z2: complex) -> complex:
+    """log_gamma_ratio's form for Im z1 = Im z2 and any real parts, each
+    first moved to Re z >= 1/2 by Gamma(z) = Gamma(z + 1) / z."""
+    y = z1.imag
+
+    def parts(z):
+        shift = 0.0j
+        while z.real < 0.5:
+            z, shift = z + 1.0, shift + cmath.log(z)
         _, t, acc = _lanczos(z)
         return (z.real - 0.5) * cmath.log(t) - t.real + cmath.log(acc) - shift, t
 
-    p1, t1 = parts(float(x1))
-    p2, t2 = parts(float(x2))
+    p1, t1 = parts(z1)
+    p2, t2 = parts(z2)
     # log(t1 / t2), t = a + iy, without rounding |t1 / t2| = 1 + O(y^-2)
     a1, a2 = t1.real, t2.real
     log_ratio = complex(0.5 * math.log1p((a1 - a2) * (a1 + a2) / (a2 * a2 + y * y)),
@@ -173,34 +219,17 @@ def log_gamma_ratio(x1: float, x2: float, y: float) -> complex:
 
 
 def rgamma(z: complex) -> complex:
-    """Reciprocal Gamma function; zero at the poles of Gamma.  Where Gamma
-    underflows it is exp(-log_gamma(z)), or ConvergenceError beyond the
-    float range."""
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    try:
-        g = gamma(z)
-    except ConvergenceError:
-        g = 0.0j
-    if abs(g) >= sys.float_info.min:
-        return 1.0 / g
-    return _exp_in_range(-log_gamma(z), f"1 / gamma({z})")
+    """Reciprocal Gamma function, ``gamma_ratio`` of one denominator: zero
+    at the poles of Gamma, ConvergenceError beyond the float range."""
+    return gamma_ratio((), (z,))
 
 
 def beta(a: complex, b: complex) -> complex:
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for Re a, Re b > 0;
-    from log_gamma where the Gamma product leaves the float range."""
+    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for Re a, Re b > 0."""
     a, b = complex(a), complex(b)
     if a.real <= 0 or b.real <= 0:
         raise DomainError("beta requires arguments with positive real part")
-    try:
-        value = gamma(a) * gamma(b) / gamma(a + b)
-    except (ConvergenceError, ZeroDivisionError):
-        value = complex(math.nan)
-    if cmath.isfinite(value):
-        return value
-    return _exp_in_range(log_gamma(a) + log_gamma(b) - log_gamma(a + b), "beta")
+    return gamma_ratio((a, b), (a + b,))
 
 
 # B_2k / (2k) for k = 1..7: coefficients of the digamma asymptotic tail.
@@ -250,7 +279,8 @@ def _hyp2f1_series(a, b, c, z, rtol, max_terms=MAX_SERIES_TERMS, conditioned=Fal
     """Gauss series with the three-consecutive-small-terms stopping rule.
 
     With ``conditioned``, a sum whose rounding, eps * sum |term|, exceeds
-    rtol * |total| raises ConvergenceError instead of returning.
+    rtol * |total| raises ConvergenceError instead of returning; a term or
+    sum that leaves the float range, or is nan, always does.
     """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
@@ -259,8 +289,13 @@ def _hyp2f1_series(a, b, c, z, rtol, max_terms=MAX_SERIES_TERMS, conditioned=Fal
     for k in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        size = abs(term)
+        try:
+            size = abs(term)
+        except OverflowError:
+            size = math.inf
         mass += size
+        if not mass < math.inf:  # mass >= |total|; a nan term makes it nan
+            raise ConvergenceError("hypergeometric series is beyond the float range")
         if size <= rtol * abs(total):
             small += 1
             if small >= 3:
@@ -304,12 +339,7 @@ def _hyp2f1_log_case(a, b, w, rtol):
         psi_b += 1.0 / (b + n)
     else:
         raise ConvergenceError("logarithmic 2F1 expansion did not converge")
-    return gamma(a + b) * rgamma(a) * rgamma(b) * total
-
-
-def _gauss_ratio(a, b, c, d):
-    """G(c)G(d) / (G(c-a)G(c-b)) for d = c-a-b."""
-    return gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+    return gamma_ratio((a + b,), (a, b)) * total
 
 
 class _IntegerSeparation(Exception):
@@ -330,12 +360,13 @@ def _hyp2f1_near_one(a, b, c, w, rtol):
         raise _IntegerSeparation()
     if w == 0:
         if d.real > 0:
-            return _gauss_ratio(a, b, c, d)
+            return gamma_ratio((c, d), (c - a, c - b))
         raise ConvergenceError(
             "2F1 diverges at unit argument for Re(c-a-b) <= 0"
         )
-    coeff_a = _gauss_ratio(a, b, c, d)
-    coeff_b = gamma(c) * gamma(-d) * rgamma(a) * rgamma(b)
+    # for real b, c (phi_lorentz_hyp2) d pairs with c - a and -d with a
+    coeff_a = gamma_ratio((c, d), (c - a, c - b))
+    coeff_b = gamma_ratio((c, -d), (a, b))
     f1 = _hyp2f1_series(a, b, a + b - c + 1.0, w, rtol)
     f2 = _hyp2f1_series(c - a, c - b, d + 1.0, w, rtol)
     return coeff_a * f1 + coeff_b * w**d * f2
@@ -414,10 +445,7 @@ def gauss_value(a: complex, b: complex, c: complex) -> complex:
     d = complex(c) - a - b
     if d.real <= 0:
         raise DomainError("2F1 at unit argument requires Re(c-a-b) > 0")
-    value = _gauss_ratio(a, b, c, d)
-    if not cmath.isfinite(value):
-        raise ConvergenceError("2F1 at unit argument is beyond the float range")
-    return value
+    return gamma_ratio((c, d), (c - a, c - b))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +544,10 @@ def _bessel_k_array(nu: complex, xs: np.ndarray, spec: QuadratureSpec) -> np.nda
     small = xs < _BESSEL_SMALL_X
     sigma = abs(nu.real)
     if small.any():
-        out[small] = _bessel_small_scaled(nu, np.log(xs[small])) * xs[small] ** -sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[small] = _bessel_small_scaled(nu, np.log(xs[small])) * xs[small] ** -sigma
+        if not np.isfinite(out[small]).all():
+            raise ConvergenceError("bessel_k at small x is beyond the float range")
     rest = xs[~small]
     # Cut each integral at T >= acosh(2) where x cosh T - sigma T exceeds
     # its value at the envelope's peak, t = asinh(sigma / x), by 40 e-folds
@@ -589,13 +620,12 @@ def bessel_k_many(nu: complex, xs: Sequence[float],
     relative of mpmath at every order (Temme's form near nu = 0; near a
     nonzero integer order the cancelling pair of terms is dropped inside a
     window sized from its error), or near zeros of K_nu to ulps of
-    K_sigma(x); a value beyond the float range is not finite.  The rest
-    are sorted by truncation point and integrated in runs of at most 64
-    points that share each panel grid, one matrix product per grid; a
-    run's grid reaches its longest cut, so a value agrees with
-    ``bessel_k`` to rounding of K_sigma(x) and does not depend on the
-    order of ``xs``.
-    Raises DomainError when any abscissa is not positive.
+    K_sigma(x).  The rest are sorted by truncation point and integrated in
+    runs of at most 64 points that share each panel grid, one matrix
+    product per grid; a run's grid reaches its longest cut, so a value
+    agrees with ``bessel_k`` to rounding of K_sigma(x) and does not depend
+    on the order of ``xs``.  Raises DomainError when any abscissa is not
+    positive, and ConvergenceError when a value is beyond the float range.
     """
     return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)
 
@@ -608,16 +638,10 @@ def weber_schafheitlin_rhs(nu: complex, mu: complex, rho: complex) -> complex:
     to be positive for all four sign choices.
     """
     nu, mu, rho = complex(nu), complex(mu), complex(rho)
-    prod = 1.0 + 0.0j
-    for snu in (1.0, -1.0):
-        for smu in (1.0, -1.0):
-            arg = (1.0 + snu * nu + smu * mu - rho) / 2.0
-            if arg.real <= 0:
-                raise DomainError(
-                    "moment integral undefined: Re(1 +- nu +- mu - rho) must be positive"
-                )
-            prod *= gamma(arg)
-    return prod / (2.0 ** (rho + 2.0) * gamma(1.0 - rho))
+    args = [(1.0 + snu * nu + smu * mu - rho) / 2.0 for snu in (1.0, -1.0) for smu in (1.0, -1.0)]
+    if any(arg.real <= 0 for arg in args):
+        raise DomainError("moment integral undefined: Re(1 +- nu +- mu - rho) must be positive")
+    return gamma_ratio(args, (1.0 - rho,)) / 2.0 ** (rho + 2.0)
 
 
 def bessel_product_moment(nu: complex, mu: complex, power: complex,

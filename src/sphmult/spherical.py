@@ -20,7 +20,8 @@ expression
 
 equal to 1 at s = +-m/2 and undefined elsewhere; ``multiplier_l1_norm``
 recomputes it as the L^1 norm of the squared-Bessel kernel and is the
-quadrature cross-check.
+quadrature cross-check.  It, c(s) and every other Gamma factor here are
+one ``specfun.gamma_ratio`` call each, which holds to |Im s| = 1e4.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .specfun import (
     bessel_k,
     bessel_product_moment,
     gamma,
-    log_gamma_ratio,
+    gamma_ratio,
+    rgamma,
 )
 
 
@@ -175,7 +177,7 @@ def phi_lorentz_integral(m: int, s, r: float,
         return np.exp(log_g)
 
     depth = spec.truncation_depth / m
-    const = (gamma((m + 1) / 2.0) / (math.sqrt(math.pi) * gamma(m / 2.0))).real
+    const = gamma_ratio(((m + 1) / 2.0,), (m / 2.0,)).real / math.sqrt(math.pi)
     scale = const * 2.0 ** m * cmath.exp(lo_expo * rr)
     return scale * integrate(integrand, -depth, rr + depth, spec, vectorized=True)
 
@@ -200,29 +202,15 @@ def phi_lorentz_hyp2(m: int, s, r: float) -> complex:
     return _in_float_range(value, sc, r)
 
 
-# Beyond this |Im s| the Gamma factors of c(s) and of the strip norms are
-# formed from log-Gamma ratios.  Below it |G(m/2 + it)|^2 > e^(-64 pi) ~
-# 1e-87 is far from underflow, and the direct products, whose values
-# norm-table and eval print, are kept.
-_DIRECT_GAMMA_T = 64.0
-
-
 def _c_function(m: int, m0: int, sc: complex) -> complex:
-    """c(s) for Re s > 0.  Beyond |Im s| = _DIRECT_GAMMA_T, G(s) is split by
-    the duplication formula, 2^(s-1) G(s/2) G(s/2 + 1/2) / sqrt(pi), into
-    two Gamma ratios at the common imaginary part t/2."""
-    if abs(sc.imag) > _DIRECT_GAMMA_T:
-        sig, y = sc.real / 2.0, sc.imag / 2.0
-        ratios = (log_gamma_ratio(sig, m / 4.0 + sig, y)
-                  + log_gamma_ratio(sig + 0.5, m0 / 4.0 + sig, y))
-        return (2.0 ** (m / 2.0 - 1.0) / math.sqrt(math.pi)
-                * gamma((m + m0) / 4.0).real * cmath.exp(ratios))
-    return (
-        2.0 ** (m / 2.0 - sc)
-        * gamma((m + m0) / 4.0)
-        * gamma(sc)
-        / (gamma(m / 4.0 + sc / 2.0) * gamma(m0 / 4.0 + sc / 2.0))
-    )
+    """c(s) = 2^(m/2 - s) G((m+m0)/4) G(s) / (G(m/4 + s/2) G(m0/4 + s/2)) for
+    Re s > 0, with G(s) split by the duplication formula,
+    2^(s-1) G(s/2) G(s/2 + 1/2) / sqrt(pi), so that each Gamma of s meets a
+    denominator at the common imaginary part t/2."""
+    half = sc / 2.0
+    return (2.0 ** (m / 2.0 - 1.0) / math.sqrt(math.pi)
+            * gamma_ratio(((m + m0) / 4.0, half, half + 0.5),
+                          (m / 4.0 + half, m0 / 4.0 + half)))
 
 
 def c_function(group: RankOneGroup, s) -> complex:
@@ -260,26 +248,6 @@ def _open_strip(m: int, s, what: str) -> complex:
     return sp.value
 
 
-def _strip_gammas(m: int, sc: complex) -> tuple[float, float, complex, complex]:
-    """G(m/2+sig) G(m/2-sig) |G(m/2+it)|^2, G(m/2)^2, G(m/2+s) and G(m/2-s)
-    at s = sig + i t in the open strip, the factors of cb_norm_lorentz,
-    bessel_vector_norm_sq and multiplier_l1_norm.
-
-    Beyond |t| = _DIRECT_GAMMA_T, toward the underflow of
-    |G(m/2+it)|^2 ~ e^(-pi |t|), the first, third and fourth come divided
-    by |G(m/2+it)|^2, |G(m/2+it)| and |G(m/2+it)| (the two Gamma ratios
-    are then positive reals), which leaves the two Gamma-form norms
-    unchanged; multiplier_l1_norm stops before that |t|."""
-    half = m / 2.0
-    sig, t = sc.real, sc.imag
-    num = gamma(half + sig).real * gamma(half - sig).real
-    if abs(t) > _DIRECT_GAMMA_T:
-        return (num, gamma(half).real ** 2, math.exp(log_gamma_ratio(half + sig, half, t).real),
-                math.exp(log_gamma_ratio(half - sig, half, t).real))
-    num = num * abs(gamma(complex(half, t))) ** 2
-    return num, gamma(half).real ** 2, gamma(half + sc), gamma(half - sc)
-
-
 def strip_norm(m: int, s) -> tuple[StripPosition, float | None]:
     """Strip position of s and the cb multiplier norm of phi_s on
     SO0(1, m+1) there: the Gamma expression in the open strip, 1 at
@@ -290,8 +258,12 @@ def strip_norm(m: int, s) -> tuple[StripPosition, float | None]:
         return position, 1.0
     if position is not StripPosition.INTERIOR:
         return position, None
-    num, half_sq, g_plus, g_minus = _strip_gammas(m, sp.value)
-    return position, num / (half_sq * abs(g_plus * g_minus))
+    # |G(m/2 - s)| = |G(m/2 - conj s)|: both pair with G(m/2 + it); at t = 0
+    # the two lists are equal, so the norm is exactly 1
+    sc = sp.value
+    half, axis = m / 2.0, complex(m / 2.0, sc.imag)
+    return position, abs(gamma_ratio((half + sc.real, half - sc.real, axis, axis),
+                                     (half + sc, half - sc.conjugate(), half, half)))
 
 
 def cb_norm_lorentz(m: int, s) -> float:
@@ -314,11 +286,11 @@ _SPHERE_CONST_CACHE: dict[int, float] = {}
 
 
 def _c_m(m: int) -> float:
-    """Normalization sqrt(G(m) / (pi^(m/2) G(m/2))) of the kernel vectors."""
+    """Normalization sqrt(G(m) / (pi^(m/2) G(m/2))) of the kernel vectors, by
+    the duplication formula sqrt(2^(m-1) G((m+1)/2) / pi^((m+1)/2))."""
     if m not in _SPHERE_CONST_CACHE:
         _SPHERE_CONST_CACHE[m] = math.sqrt(
-            gamma(float(m)).real / (math.pi ** (m / 2.0) * gamma(m / 2.0).real)
-        )
+            2.0 ** (m - 1.0) * gamma((m + 1) / 2.0).real / math.pi ** ((m + 1) / 2.0))
     return _SPHERE_CONST_CACHE[m]
 
 
@@ -334,12 +306,7 @@ def bessel_vector(m: int, s, x_norm: float,
     sc = _open_strip(m, s, "bessel_vector")
     if x_norm <= 0:
         raise DomainError("bessel_vector requires x_norm > 0")
-    return (
-        _c_m(m)
-        * 2.0 ** (1.0 - m / 2.0)
-        / gamma(m / 2.0 + sc)
-        * bessel_k(sc, x_norm, spec)
-    )
+    return _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc) * bessel_k(sc, x_norm, spec)
 
 
 def bessel_vector_norm_sq(m: int, s) -> float:
@@ -348,8 +315,14 @@ def bessel_vector_norm_sq(m: int, s) -> float:
     Real, positive, equal to 1 on the imaginary axis, and symmetric in
     both sigma -> -sigma and t -> -t.
     """
-    num, half_sq, g_plus, _ = _strip_gammas(m, _open_strip(m, s, "bessel_vector_norm_sq"))
-    return num / (half_sq * abs(g_plus) ** 2)
+    sc = _open_strip(m, s, "bessel_vector_norm_sq")
+    half, axis = m / 2.0, complex(m / 2.0, sc.imag)
+    return abs(gamma_ratio((half + sc.real, half - sc.real, axis, axis),
+                           (half, half, half + sc, half + sc)))
+
+
+# |Im s| beyond which K_s is below the K_nu kernel's rounding floor
+_L1_NORM_MAX_T = 64.0
 
 
 def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -363,12 +336,12 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     |Im s| = 20 after seconds of work.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
-    if abs(sc.imag) > _DIRECT_GAMMA_T:
+    if abs(sc.imag) > _L1_NORM_MAX_T:
         raise ConvergenceError(
             f"multiplier_l1_norm: K_s is below the quadrature's rounding floor at s={sc}")
     moment = bessel_product_moment(sc, sc.conjugate(), m - 1.0, spec)
-    _, half_sq, g_plus, g_minus = _strip_gammas(m, sc)
-    const = 2.0 ** (3.0 - m) * gamma(float(m)).real / (half_sq * abs(g_plus * g_minus))
+    half = m / 2.0
+    const = 2.0 ** (3.0 - m) * abs(gamma_ratio((float(m),), (half, half, half + sc, half - sc)))
     return const * moment.real
 
 
@@ -455,13 +428,8 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
             e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
         return composite(integrand, e)
 
-    pref = (
-        math.pi ** (-m / 2.0)
-        * 2.0 ** (2.0 - m)
-        * math.exp(m * r / 2.0)
-        * gamma(float(m)).real
-        / (gamma(m / 2.0).real * gamma(m / 2.0 + sc) * gamma(m / 2.0 - sc))
-    )
+    pref = (math.pi ** (-m / 2.0) * 2.0 ** (2.0 - m) * math.exp(m * r / 2.0)
+            * gamma_ratio((float(m),), (m / 2.0, m / 2.0 + sc, m / 2.0 - sc)))
     try:
         return pref * refine(estimate, 2, spec, "phi_on_na quadrature")
     except ConvergenceError as exc:

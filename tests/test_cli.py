@@ -190,6 +190,33 @@ class TestEval:
                 assert out == ""
                 assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_second_form_beyond_the_gauss_ratio_overflow(self, capsys):
+        # the Gauss ratio left the float range here (exit 1 before)
+        code, out, err = run(
+            capsys, "eval", "--family", "so0", "--n", "3", "--format", "json",
+            "--sigma", "0.3", "--t", "500", "--r", "1",
+        )
+        assert code == 0 and err == ""
+        second = complex(*json.loads(out)["methods"]["hypergeometric_second_form"])
+        # e^(-(1 + s)) F(1 + s, 1; 2; 1 - e^-2) at 50 digits (mpmath)
+        expected = -8.324382250562319e-4 + 4.57549833754118e-4j
+        assert abs(second - expected) < 1e-12 * abs(expected)
+
+    def test_series_overflow_falls_back_or_fails_cleanly(self, capsys):
+        # SO0 takes the quadrature form where the 2F1 series overflows;
+        # SU(1,3) has none and fails with one error line
+        code, out, err = run(
+            capsys, "eval", "--family", "so0", "--n", "3",
+            "--sigma", "0.3", "--t", "1e3", "--r", "1",
+        )
+        assert code == 0 and err == ""
+        code, out, err = run(
+            capsys, "eval", "--family", "su", "--n", "3",
+            "--sigma", "0.3", "--t", "1e3", "--r", "1",
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_unsupported_point_is_runtime_failure(self, capsys):
         code, out, err = run(
             capsys, "eval", "--family", "su", "--n", "2",

@@ -1,10 +1,13 @@
-"""Package surface: lazy exports and the import graph of the command line."""
+"""Package surface: lazy exports, the import graph of the command line and
+the single owner of Gamma products."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,35 @@ def test_tree_command_does_not_import_numpy():
 def test_package_import_does_not_import_numpy():
     loaded = _modules_after("import sphmult; sphmult.params_for('so0', 3)")
     assert "numpy" not in loaded
+
+
+SOURCE = Path(sphmult.__file__).parent
+GAMMA_CALLS = {"gamma", "rgamma", "log_gamma"}
+
+
+def _gamma_calls(expr):
+    return sum(1 for node in ast.walk(expr) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) in GAMMA_CALLS)
+
+
+@pytest.mark.parametrize("module", ["spherical.py", "lorentz.py"])
+def test_gamma_products_go_through_gamma_ratio(module):
+    # a product or quotient of Gammas is one specfun.gamma_ratio call, so
+    # the choice between direct and log form has one owner
+    tree = ast.parse((SOURCE / module).read_text())
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.stmt):
+            for expr in ast.iter_child_nodes(stmt):
+                if isinstance(expr, ast.expr):
+                    assert _gamma_calls(expr) < 2, f"{module}:{expr.lineno}"
+
+
+def test_gamma_internals_stay_in_specfun():
+    for path in SOURCE.glob("*.py"):
+        if path.name == "specfun.py":
+            continue
+        # names, attributes, imported names and definitions
+        names = {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for field in ("id", "attr", "name")}
+        leaked = names & {"_DIRECT_GAMMA_T", "log_gamma_ratio"}
+        assert not leaked, (path.name, leaked)

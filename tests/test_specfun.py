@@ -3,6 +3,7 @@
 import cmath
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,45 @@ class TestLogGammaRatio:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.log_gamma_ratio(0.0, 1.0, 2.0)
+
+
+class TestGammaRatio:
+    def test_poles(self):
+        with pytest.raises(PoleError):
+            sf.gamma_ratio((-2.0, 0.5), (1.5,))
+        assert sf.gamma_ratio((0.5,), (1.5, -3.0)) == 0
+        # a denominator pole in the log form too
+        assert sf.gamma_ratio((0.5 + 100j,), (0.5 + 100j, -1.0)) == 0
+
+    def test_one_argument_cases_are_gamma_and_rgamma(self):
+        for z in gamma_grid(21, 40) + [0.3 + 240j, -2.7 - 300j, 20.5 + 500j, -150.3 + 50j]:
+            assert sf.gamma_ratio((z,)) == sf.gamma(z)
+            if abs(sf.gamma(z)) > 1e-300:
+                assert sf.gamma_ratio((), (z,)) == sf.rgamma(z)
+        assert sf.gamma_ratio(()) == 1.0
+
+    def test_small_arguments_are_the_product_of_gammas(self):
+        zs = gamma_grid(22, 40)
+        for a, b, c in zip(zs, zs[1:], zs[2:]):
+            want = sf.gamma(a) * sf.gamma(b) / sf.gamma(c)
+            assert rel(sf.gamma_ratio((a, b), (c,)), want) < 1e-14
+
+    def test_beyond_the_float_range(self):
+        with pytest.raises(ConvergenceError):
+            sf.gamma_ratio((200.0, 200.0))
+        # each factor overflows, the ratio does not: Gamma(200) / Gamma(199)
+        assert rel(sf.gamma_ratio((200.0,), (199.0,)), 199.0) < 1e-12
+
+    @needs_mpmath
+    def test_pairs_with_non_positive_real_parts(self):
+        # the Gauss-ratio pairs (-s, h - s): Gamma(z) = Gamma(z + 1) / z
+        # moves both into the paired form
+        with mpmath.workdps(40):
+            for y in (40.0, 240.0, 1e3, 1e4, -1e4):
+                for x1, x2 in ((-0.3, 0.7), (-1.1, -0.1), (0.0, -2.5), (-3.7, 1.5)):
+                    z1, z2 = complex(x1, y), complex(x2, y)
+                    want = complex(mpmath.gamma(mpmath.mpc(z1)) / mpmath.gamma(mpmath.mpc(z2)))
+                    assert rel(sf.gamma_ratio((z1,), (z2,)), want) < 1e-13, (z1, z2)
 
 
 class TestDigamma:
@@ -367,6 +407,16 @@ class TestBesselK:
                     err = float(abs(sf.bessel_k(nu, x) - want))
                     mass = float(mpmath.besselk(abs(nu.real), x))
                     assert err <= max(1e-12 * float(abs(want)), 8 * eps * mass), (nu, x)
+
+    def test_beyond_the_float_range_at_small_x(self):
+        # inf and nan, with numpy overflow warnings, before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu, x in ((2.0, 1e-300), (1.05 - 0.05j, 8e-297)):
+                with pytest.raises(ConvergenceError):
+                    sf.bessel_k(nu, x)
+                with pytest.raises(ConvergenceError):
+                    sf.bessel_k_many(nu, [1.0, x])
 
     def test_imaginary_axis_sweep_converges(self):
         xs = np.logspace(-9, math.log10(30.0), 500)

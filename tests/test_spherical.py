@@ -230,6 +230,30 @@ class TestIntegralBoundaryLayer:
             assert rel(complex(value), expected) < 1e-8
 
 
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+class TestLargeImaginaryPart:
+    """SO0(1,3) at s = 0.3 + it, r = 1, against e^(-(1+s)) F(1+s, 1; 2; 1 - e^-2)."""
+
+    @staticmethod
+    def want(t):
+        with mpmath.workdps(50):
+            s = mpmath.mpc(0.3, t)
+            return complex(mpmath.exp(-(1 + s)) * mpmath.hyp2f1(1 + s, 1, 2, 1 - mpmath.exp(-2)))
+
+    def test_second_form(self):
+        # the Gauss ratio of the connection formula left the float range
+        # from t of about 500 (ConvergenceError)
+        for t in (100.0, 240.0, 500.0, 1e3, 1e4):
+            assert rel(sph.phi_lorentz_hyp2(2, complex(0.3, t), 1.0), self.want(t)) < 1e-12, t
+
+    def test_phi_falls_back_when_the_series_overflows(self):
+        # abs() of an overflowing series term raised a bare OverflowError,
+        # which skipped the quadrature fallback
+        value = sph.phi(SO13, 0.3 + 1e3j, 1.0)
+        assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+        assert rel(complex(value), self.want(1e3)) < 1e-10
+
+
 class TestCFunction:
     def test_normalized_at_corner(self):
         for group in (SO12, SO13, SO14, F4):
