@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InvariantError
 from .groups import as_spectral
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
-from .specfun import _bessel_k_scaled, bessel_k_many, rgamma
+from .specfun import _bessel_k_scaled, _kernel_product, _kernel_value, bessel_k_many, rgamma
 from .spherical import _c_m, _kernel_edges, _open_strip
 
 _MATRIX_TOL = 1e-10
@@ -291,7 +291,8 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     f(x) to e^(mr/2) e^(-i y e^r x) f(e^r x).  Cross-checks phi_on_na,
     which carries the same content through a prefactor formula.  As there,
     the integral runs in v = log x with both kernels taken as x^sig K(x),
-    sig = |Re s|, so that it holds up to the strip edge.
+    sig = |Re s|, so that it holds up to the strip edge, and it raises
+    ConvergenceError on the same panel budget and rounding floor.
     """
     if m != 1:
         raise DomainError("coefficient_pairing supports m = 1 only")
@@ -304,10 +305,10 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc)
     coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc_neg_conj)
 
-    def integrand(vs):
-        left = coeff_left * _bessel_k_scaled(sc, vs + r, spec)
-        right = np.conjugate(coeff_right * _bessel_k_scaled(sc_neg_conj, vs, spec))
-        return (left * right * np.cos(lam * np.exp(vs))
-                * np.exp((m - 2.0 * sigma) * vs - sigma * r))
+    def rows(vs):
+        right, right_mass = _bessel_k_scaled(sc_neg_conj, vs, spec)
+        return _kernel_product(_bessel_k_scaled(sc, vs + r, spec), (np.conjugate(right), right_mass),
+                               coeff_left * np.conjugate(coeff_right) * np.cos(lam * np.exp(vs))
+                               * np.exp((m - 2.0 * sigma) * vs - sigma * r))
 
-    return 2.0 * math.exp(m * r / 2.0) * composite(integrand, edges)
+    return 2.0 * math.exp(m * r / 2.0) * _kernel_value(composite(rows, edges), spec)

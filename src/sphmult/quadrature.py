@@ -1,6 +1,7 @@
 """Adaptive Gauss-Legendre quadrature.
 
-A single engine backs every numerical integral in the package: 15-point
+A single engine backs every numerical integral in the package but the K_nu
+kernel (a trapezoidal rule, in ``specfun``): 15-point
 Gauss-Legendre panels refined by bisection, with the per-panel error taken
 as the difference between a panel estimate and the sum of its two halves.
 The integrand is called once to seed (eight panels and their sixteen
@@ -163,11 +164,14 @@ def integrate(
     return total
 
 
-def composite(f: Callable, edges: np.ndarray) -> complex:
-    """Non-adaptive composite Gauss-Legendre of a vectorized f over the panel edges."""
+def composite(f: Callable, edges: np.ndarray):
+    """Non-adaptive composite Gauss-Legendre of a vectorized f over the panel
+    edges: a complex number, or one per row where f returns a stack of rows."""
     xs, halves = _panel_nodes(edges)
-    ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
-    return complex(np.sum(halves * (ys @ _GL_WEIGHTS)))
+    ys = np.asarray(f(xs), dtype=complex)
+    ys = ys.reshape(ys.shape[:-1] + (len(halves), len(_GL_NODES)))
+    sums = np.sum(halves * (ys @ _GL_WEIGHTS), axis=-1)
+    return complex(sums) if sums.ndim == 0 else sums
 
 
 def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> complex:

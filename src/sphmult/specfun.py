@@ -1,7 +1,8 @@
 """Special functions of complex parameters.
 
-Everything here is built from two primitives: a Lanczos evaluation of the
-Gamma function and composite Gauss-Legendre quadrature.  The module keeps
+Everything here is built from a Lanczos evaluation of the Gamma function
+and from quadrature: composite Gauss-Legendre for the moment integral,
+the trapezoidal rule for K_nu.  The module keeps
 its own closed forms and its quadrature oracles strictly separate, so each
 side can be used to validate the other:
 
@@ -11,22 +12,26 @@ side can be used to validate the other:
   which holds to |Im z| = 1e4,
 * ``bessel_k`` and ``bessel_k_many`` evaluate the cosh-integral
   representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt
-  (x > 0) through one batched kernel: points sorted by truncation point
-  share panel grids in runs of up to 64, each grid level is one matrix
-  product, and every point keeps its own stopping rule.  Below x = 1e-8
-  one closed form, the two leading terms of the small-argument expansion
-  scaled by x^|Re nu| and written in v = log x, takes over; the Bessel
-  kernel integrals take x^|Re nu| K_nu(x) on their log grids from the same
-  helper, ``_bessel_k_scaled``,
+  (x > 0) through one batched kernel: a nested trapezoidal rule with
+  steps 2^-p, whose integrand is analytic in a strip, so that it converges
+  geometrically and each halving adds only the odd nodes.  Points sorted
+  by truncation point share the nodes in runs of up to 256, each level is
+  one matrix product, and every point keeps its own stopping rule.  Below
+  x = 1e-8 one closed form, the two leading terms of the small-argument
+  expansion scaled by x^|Re nu| and written in v = log x, takes over; the
+  Bessel kernel integrals take x^|Re nu| K_nu(x), with the scale of its
+  rounding floor, on their log grids from the same helper,
+  ``_bessel_k_scaled``, and raise ConvergenceError where that floor,
+  integrated, exceeds their tolerance,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
   ``bessel_product_moment`` is its quadrature counterpart.
 
 Target accuracy is 1e-12 relative for the closed forms and the caller's
 QuadratureSpec tolerance for the integral routines.  ``bessel_k`` is
-accurate to 1e-12 relative, or, near zeros of K_nu with imaginary part in
-the order, to a few ulps of K_{|Re nu|}(x); there its relative accuracy is
-limited by the conditioning K_{|Re nu|}(x) / |K_nu(x)|.  A closed-form
+accurate to max(1e-12 |K_nu(x)|, 8 ulps K_{|Re nu|}(x)): near zeros of
+K_nu with imaginary part in the order, and at large |Im nu|, its relative
+accuracy is limited by the conditioning K_{|Re nu|}(x) / |K_nu(x)|.  A closed-form
 value beyond the float range raises ConvergenceError, never a bare
 OverflowError or ZeroDivisionError.
 """
@@ -41,8 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _GL_WEIGHTS, _panel_nodes,
-                         composite, refine)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, refine
 
 SPECIAL_RTOL = 1e-12
 MAX_SERIES_TERMS = 100_000
@@ -504,112 +508,175 @@ def _bessel_small_scaled(nu: complex, vs: np.ndarray) -> np.ndarray:
     return 0.5 * (first + np.where(keep, second, 0.0))
 
 
-def _bessel_k_scaled(nu: complex, vs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """r^sigma K_nu(r), sigma = |Re nu|, at r = e^v for every v: the
-    small-x form in v below _BESSEL_SMALL_X, the K_nu kernel above it."""
+def _bessel_k_scaled(nu: complex, vs: np.ndarray,
+                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """r^sigma K_nu(r) and r^sigma K_sigma(r), sigma = |Re nu|, at r = e^v for
+    every v: the small-x form in v below _BESSEL_SMALL_X, the K_nu kernel
+    above it.  The second array is the scale of the first one's rounding
+    floor; ``_kernel_product`` integrates it."""
     out = np.empty(vs.shape, dtype=complex)
+    mass = np.empty(vs.shape)
     small = vs < _LOG_BESSEL_SMALL_X
-    out[small] = _bessel_small_scaled(nu, vs[small])
+    if small.any():
+        out[small] = _bessel_small_scaled(nu, vs[small])
+        mass[small] = _bessel_small_scaled(complex(abs(nu.real)), vs[small]).real
     rest = vs[~small]
-    out[~small] = bessel_k_many(nu, np.exp(rest), spec) * np.exp(abs(nu.real) * rest)
-    return out
+    scale = np.exp(abs(nu.real) * rest)
+    k, k_sigma = _bessel_k_array(nu, np.exp(rest), spec)
+    out[~small] = k * scale
+    mass[~small] = k_sigma * scale
+    return out, mass
 
 
-# Most points that share one panel grid in the batched K_nu kernel.
-_BESSEL_RUN = 64
+def _kernel_product(first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray],
+                    weight: np.ndarray) -> np.ndarray:
+    """Rows for composite() and ``_kernel_value`` from two (K, mass) pairs of
+    ``_bessel_k_scaled``: K1 K2 weight, its modulus, and its rounding floor
+    8 ulps (M1 |K2| + |K1| M2) |weight|."""
+    (k1, m1), (k2, m2) = first, second
+    value = k1 * k2 * weight
+    floor = _BESSEL_ROUNDING_FLOOR * (m1 * np.abs(k2) + np.abs(k1) * m2) * np.abs(weight)
+    return np.stack([value, np.abs(value), floor])
 
 
-def _bessel_grid(nu: complex, xs: np.ndarray, t_max: float,
-                 n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """K_nu(x) and K_sigma(x), sigma = |Re nu|, for every x on one grid of
-    n panels over [0, t_max], as one product of exp(-x cosh t) with weights."""
-    ts, halves = _panel_nodes(np.linspace(0.0, t_max, n_panels + 1))
-    ws = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+def _kernel_value(sums: np.ndarray, spec: QuadratureSpec) -> complex:
+    """The value from composite() of ``_kernel_product`` rows.  The K_nu
+    kernel is exact only to its rounding floor, so a floor whose integral
+    exceeds relative_tolerance times the integral of |integrand| raises
+    ConvergenceError; |integrand|, not the value, so that zeros of the
+    value do not trip it."""
+    value, size, floor = sums
+    if floor.real > spec.relative_tolerance * size.real:
+        raise ConvergenceError(
+            "the K_nu kernel's rounding floor exceeds the quadrature tolerance",
+            best_estimate=value, achieved_error=floor.real)
+    return value
+
+
+# Most points that share the trapezoid nodes in the batched K_nu kernel:
+# on kernel-benchmark passes (2 cores) 128 and 256 tied, and 64 and 512
+# were 15-25 % slower.
+_BESSEL_RUN = 256
+
+
+def _bessel_step(nu: complex, x_max: float) -> float:
+    """First trapezoid step 2^-p for points up to x_max: below
+    2 pi / (|Im nu| + 19), so that cos(t Im nu) does not alias, and below
+    0.81 times the width (x_max^2 + sigma^2)^(-1/4) of the integrand's
+    peak, so that the first level already meets 1e-12."""
+    bound = max((abs(nu.imag) + 19.0) / (2.0 * math.pi),
+                math.sqrt(math.hypot(x_max, nu.real)) / 0.81)
+    return 2.0 ** -math.ceil(math.log2(bound))
+
+
+def _bessel_sums(nu: complex, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Sums over the nodes ts of exp(-x (cosh t - 1)) times Re cosh(nu t),
+    Im cosh(nu t) and cosh(sigma t), sigma = |Re nu|: one row per x, from
+    one matrix product; a node at t = 0 enters at half weight."""
     # cosh((a + ib) t) = cosh(at) cos(bt) + i sinh(at) sin(bt), and
     # cosh(at) = cosh(sigma t) weights K_sigma.
-    w_cosh = ws * np.cosh(nu.real * ts)
-    columns = np.stack([w_cosh * np.cos(nu.imag * ts),
-                        ws * np.sinh(nu.real * ts) * np.sin(nu.imag * ts),
-                        w_cosh], axis=1)
-    kernel = np.multiply.outer(-xs, np.cosh(ts))
-    k = np.exp(kernel, out=kernel) @ columns
-    return k[:, 0] + 1j * k[:, 1], k[:, 2]
+    at, bt = nu.real * ts, nu.imag * ts
+    columns = np.empty((ts.size, 3))
+    columns[:, 2] = np.cosh(at)
+    columns[:, 0] = columns[:, 2] * np.cos(bt)
+    columns[:, 1] = np.sinh(at) * np.sin(bt)
+    if ts[0] == 0.0:
+        columns[0] *= 0.5
+    half = np.sinh(0.5 * ts)
+    kernel = np.multiply.outer(-2.0 * xs, half * half)  # -x (cosh t - 1)
+    return np.exp(kernel, out=kernel) @ columns
 
 
-def _bessel_k_array(nu: complex, xs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """The one K_nu kernel behind ``bessel_k`` and ``bessel_k_many``."""
+def _bessel_k_array(nu: complex, xs: np.ndarray,
+                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The one K_nu kernel behind ``bessel_k`` and ``bessel_k_many``: K_nu(x)
+    and K_sigma(x), sigma = |Re nu|, which bounds the integrand's L1 mass."""
     if not np.all(xs > 0):
         raise DomainError("bessel_k requires x > 0")
     out = np.empty(xs.shape, dtype=complex)
+    masses = np.empty(xs.shape)
     small = xs < _BESSEL_SMALL_X
     sigma = abs(nu.real)
     if small.any():
+        logs = np.log(xs[small])
         with np.errstate(over="ignore", invalid="ignore"):
-            out[small] = _bessel_small_scaled(nu, np.log(xs[small])) * xs[small] ** -sigma
+            scale = xs[small] ** -sigma
+            out[small] = _bessel_small_scaled(nu, logs) * scale
+            masses[small] = _bessel_small_scaled(complex(sigma), logs).real * scale
         if not np.isfinite(out[small]).all():
             raise ConvergenceError("bessel_k at small x is beyond the float range")
     rest = xs[~small]
-    # Cut each integral at T >= acosh(2) where x cosh T - sigma T exceeds
-    # its value at the envelope's peak, t = asinh(sigma / x), by 40 e-folds
-    # (~4e-18) plus the spec's margin.  Started below the peak (target < 0
-    # at small x, large sigma), the iteration would stay at acosh(2).
+    # Cut each integral at the T where x cosh T - sigma T exceeds its value
+    # at the envelope's peak, t = asinh(sigma / x), by 40 e-folds (~4e-18)
+    # plus the spec's margin.  Started below the peak (target < 0 at small
+    # x, large sigma), the iteration would stay at 0.
     t_peak = np.arcsinh(sigma / rest)
     target = rest * np.cosh(t_peak) - sigma * t_peak + 40.0 + spec.truncation_margin
-    cuts = np.maximum(np.arccosh(np.maximum(2.0, target / rest)), t_peak)
+    cuts = np.maximum(np.arccosh(np.maximum(1.0, target / rest)), t_peak)
     for _ in range(4):
-        cuts = np.arccosh(np.maximum(2.0, (target + sigma * cuts) / rest))
-    # Runs of points sorted by (T, x) share grids of n, 2n, 4n and 8n panels
-    # on [0, T_run]; the sort keeps T_run close to each point's own cut and
-    # each value independent of the order of the input points.
+        cuts = np.arccosh(np.maximum(1.0, (target + sigma * cuts) / rest))
+    # Runs of points sorted by (T, x) share the trapezoid nodes k h on
+    # [0, T_run]; the sort keeps T_run close to each point's own cut and
+    # each value independent of the order of the input points.  h = 2^-p
+    # makes every node exact in binary, and each halving adds only the odd
+    # nodes.  The sums are scaled by e^x, so that nothing underflows.
     order = np.lexsort((rest, cuts))
-    width = min(0.7, 2.4 / (1.0 + abs(nu.imag)))
-    vals = np.empty(rest.shape, dtype=complex)
+    sums = np.empty((rest.size, 3))
     for start in range(0, len(order), _BESSEL_RUN):
         open_ = order[start:start + _BESSEL_RUN]
-        t_max = float(cuts[open_[-1]])
-        n_panels = max(4, int(math.ceil(t_max / width)))
-        val = _bessel_grid(nu, rest[open_], t_max, n_panels)[0]
+        xs_open = rest[open_]
+        h = _bessel_step(nu, float(xs_open.max()))
+        n = max(1, math.ceil(cuts[open_[-1]] / h))
+        est = h * _bessel_sums(nu, xs_open, h * np.arange(n + 1.0))
         # Each point stops on its own rule; only open points are refined.
         for _ in range(3):
-            n_panels *= 2
-            finer, mass = _bessel_grid(nu, rest[open_], t_max, n_panels)
-            err = np.abs(val - finer)
-            done = err <= SPECIAL_RTOL * np.maximum(np.abs(finer), spec.absolute_tolerance)
-            vals[open_[done]] = finer[done]
-            open_, val, err, mass = open_[~done], finer[~done], err[~done], mass[~done]
+            h, n = 0.5 * h, 2 * n
+            finer = 0.5 * est + h * _bessel_sums(nu, xs_open, h * np.arange(1.0, n, 2.0))
+            err = np.hypot(finer[:, 0] - est[:, 0], finer[:, 1] - est[:, 1])
+            done = err <= SPECIAL_RTOL * np.hypot(finer[:, 0], finer[:, 1])
+            sums[open_[done]] = finer[done]
+            open_, xs_open, est, err = open_[~done], xs_open[~done], finer[~done], err[~done]
             if not open_.size:
                 break
         # Near a zero of K_nu the value is far below the integrand's L1 mass,
         # which K_sigma(x) bounds since |cosh(nu t)| <= cosh(sigma t); the
-        # doublings then agree only to rounding noise of that mass.
-        ok = (np.abs(val) < spec.absolute_tolerance) | (err <= _BESSEL_ROUNDING_FLOOR * mass)
+        # halvings then agree only to rounding noise of that mass.
+        ok = err <= _BESSEL_ROUNDING_FLOOR * est[:, 2]
         if not ok.all():
             i = int(np.argmin(ok))
+            scale = math.exp(-xs_open[i])
             raise ConvergenceError("bessel_k quadrature did not converge",
-                                   best_estimate=complex(val[i]), achieved_error=float(err[i]))
-        vals[open_] = val
-    out[~small] = vals
-    return out
+                                   best_estimate=complex(est[i, 0], est[i, 1]) * scale,
+                                   achieved_error=float(err[i]) * scale)
+        sums[open_] = est
+    scale = np.exp(-rest)
+    out[~small] = (sums[:, 0] + 1j * sums[:, 1]) * scale
+    masses[~small] = sums[:, 2] * scale
+    return out, masses
 
 
 def bessel_k(nu: complex, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """K_nu(x) for x > 0 and complex order nu, from the cosh integral.
 
-    The one-point case of ``bessel_k_many``.  The integrand decays like
-    exp(-x*cosh(t) + |Re nu| t); truncation is chosen so the discarded
-    tail sits about 40 e-folds below the integrand's peak, then pushed
-    out by the spec's margin.  Symmetry in nu and conjugation symmetry
-    hold by construction.
+    The one-point case of ``bessel_k_many``.  The integrand
+    exp(-x cosh t) cosh(nu t) is even in t and analytic in |Im t| < pi/2,
+    so the trapezoidal rule on [0, T], t = 0 at half weight, converges
+    geometrically.  T leaves the discarded tail about 40 e-folds below the
+    integrand's peak, pushed out by the spec's margin.  The first step
+    2^-p resolves both the oscillation of cos(t Im nu) and the peak's
+    curvature; each of up to three halvings adds only the new odd nodes.
+    Symmetry in nu and conjugation symmetry hold by construction.
 
-    The panel grid is doubled up to three times.  The result is returned
-    once two estimates agree to 1e-12 relative, or, after the last
-    doubling, to 8 ulps of K_sigma(x), sigma = |Re nu|.  K_sigma(x)
-    bounds the L1 mass of the integrand, so the second rule is the
-    rounding floor near zeros of K_nu: there the relative accuracy is
+    The result is returned once two levels agree to 1e-12 relative, or,
+    after the last halving, to 8 ulps of K_sigma(x), sigma = |Re nu|.
+    K_sigma(x) bounds the L1 mass of the integrand, so the second rule is
+    the rounding floor near zeros of K_nu, and at large |Im nu|, where
+    |K_nu| ~ e^(-pi |Im nu| / 2) K_sigma: the error is at most
+    max(1e-12 |K_nu(x)|, 8 ulps K_sigma(x)), and the relative accuracy is
     limited by the conditioning K_sigma(x) / |K_nu(x)|.  Raises
-    ConvergenceError when neither holds.
+    ConvergenceError when neither rule holds.
     """
-    return complex(_bessel_k_array(complex(nu), np.array([float(x)]), spec)[0])
+    return complex(_bessel_k_array(complex(nu), np.array([float(x)]), spec)[0][0])
 
 
 def bessel_k_many(nu: complex, xs: Sequence[float],
@@ -621,13 +688,14 @@ def bessel_k_many(nu: complex, xs: Sequence[float],
     nonzero integer order the cancelling pair of terms is dropped inside a
     window sized from its error), or near zeros of K_nu to ulps of
     K_sigma(x).  The rest are sorted by truncation point and integrated in
-    runs of at most 64 points that share each panel grid, one matrix
-    product per grid; a run's grid reaches its longest cut, so a value
-    agrees with ``bessel_k`` to rounding of K_sigma(x) and does not depend
-    on the order of ``xs``.  Raises DomainError when any abscissa is not
-    positive, and ConvergenceError when a value is beyond the float range.
+    runs of at most 256 points that share the trapezoid nodes, one matrix
+    product per level; a run's nodes reach its longest cut at the step of
+    its largest x, so a value agrees with ``bessel_k`` to rounding of
+    K_sigma(x) and does not depend on the order of ``xs``.  Raises
+    DomainError when any abscissa is not positive, and ConvergenceError
+    when a value is beyond the float range.
     """
-    return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)
+    return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)[0]
 
 
 def weber_schafheitlin_rhs(nu: complex, mu: complex, rho: complex) -> complex:
@@ -657,7 +725,11 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     ``weber_schafheitlin_rhs`` (with power = -rho) and for every L^2 norm
     built on Bessel kernels.  Raises ConvergenceError when the coarsest
     grid would need more than ``spec.max_panels`` panels, i.e. when the
-    decay at r = 0 is slower than about depth / (0.9 max_panels).
+    decay at r = 0 is slower than about depth / (0.9 max_panels), and when
+    the K_nu kernels' rounding floor, 8 ulps (K_a |K_mu| + |K_nu| K_b)
+    integrated against r^power, exceeds ``spec.relative_tolerance`` times
+    the integral of |integrand|: at large |Im nu|, where
+    |K_nu| ~ e^(-pi |Im nu| / 2) K_a, the kernels carry too few digits.
     """
     nu, mu, power = complex(nu), complex(mu), complex(power)
     decay_left = power.real + 1.0 - abs(nu.real) - abs(mu.real)
@@ -665,10 +737,13 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
         raise DomainError("moment integrand is not integrable at r = 0")
     depth = spec.truncation_depth
     v_min = -depth / decay_left
-    # Large-r decay is exp(-2 e^v); solve 2 e^v - (Re power + 1) v >= depth.
-    v_max = math.log(0.5 * depth + 2.0)
+    # Large-r decay is exp(-2 e^v); solve 2 e^v - (Re power + 1) v >= depth
+    # plus pi max(|Im nu|, |Im mu|): the integral is that many e-folds below
+    # the integrand's envelope there (its four Gammas of (1 +- nu +- mu)/2).
+    depth_right = depth + math.pi * max(abs(nu.imag), abs(mu.imag))
+    v_max = math.log(0.5 * depth_right + 2.0)
     for _ in range(4):
-        v_max = math.log(0.5 * (depth + max(0.0, (power.real + 1.0) * v_max)) + 2.0)
+        v_max = math.log(0.5 * (depth_right + max(0.0, (power.real + 1.0) * v_max)) + 2.0)
     osc = abs(nu.imag) + abs(mu.imag) + abs(power.imag)
     width = min(0.9, math.pi / (2.0 * (1.0 + osc)))
     n = max(8, int(math.ceil((v_max - v_min) / width)))
@@ -678,12 +753,13 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
 
     conjugate_pair = mu == nu.conjugate()
 
-    def integrand(vs):
-        k1 = _bessel_k_scaled(nu, vs, spec)
-        k2 = np.conjugate(k1) if conjugate_pair else _bessel_k_scaled(mu, vs, spec)
-        return k1 * k2 * np.exp((power + 1.0 - abs(nu.real) - abs(mu.real)) * vs)
+    def rows(vs):
+        k1, m1 = _bessel_k_scaled(nu, vs, spec)
+        k2, m2 = (np.conjugate(k1), m1) if conjugate_pair else _bessel_k_scaled(mu, vs, spec)
+        return _kernel_product((k1, m1), (k2, m2),
+                               np.exp((power + 1.0 - abs(nu.real) - abs(mu.real)) * vs))
 
     return refine(
-        lambda k: composite(integrand, np.linspace(v_min, v_max, n * 2**k + 1)),
+        lambda k: _kernel_value(composite(rows, np.linspace(v_min, v_max, n * 2**k + 1)), spec),
         3, spec, "bessel moment quadrature",
     )

@@ -45,8 +45,11 @@ from .quadrature import (
 )
 from .specfun import (
     SPECIAL_RTOL,
+    _LOG_BESSEL_SMALL_X,
     _bessel_k_scaled,
     _hyp2f1_zw,
+    _kernel_product,
+    _kernel_value,
     bessel_k,
     bessel_product_moment,
     gamma,
@@ -321,7 +324,7 @@ def bessel_vector_norm_sq(m: int, s) -> float:
                            (half, half, half + sc, half + sc)))
 
 
-# |Im s| beyond which K_s is below the K_nu kernel's rounding floor
+# |Im s| beyond which K_s is far below the K_nu kernel's rounding floor
 _L1_NORM_MAX_T = 64.0
 
 
@@ -330,10 +333,11 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     phi_s restricted to the nilpotent part; equals cb_norm_lorentz.
 
     Computed by quadrature:  2^(3-m) G(m) / (G(m/2)^2 |G(m/2+s) G(m/2-s)|)
-    times int_0^inf |K_s(r)|^2 r^(m-1) dr.  Beyond |Im s| = 64 it raises
-    ConvergenceError at once: K_s ~ e^(-pi |Im s| / 2) K_sigma is far below
-    the rounding floor of the K_nu kernel there, which fails already at
-    |Im s| = 20 after seconds of work.
+    times int_0^inf |K_s(r)|^2 r^(m-1) dr.  K_s ~ e^(-pi |Im s| / 2) K_sigma
+    sinks toward the K_nu kernel's rounding floor, 8 ulps of K_sigma, as
+    |Im s| grows: ``bessel_product_moment`` raises ConvergenceError once that
+    floor, integrated, exceeds the tolerance (from |Im s| of about 13.5
+    at m = 3, within 0.3 s), and beyond |Im s| = 64 it raises at once.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
     if abs(sc.imag) > _L1_NORM_MAX_T:
@@ -381,14 +385,30 @@ def _kernel_edges(m: int, sc: complex, r: float, lam: float,
                   spec: QuadratureSpec) -> np.ndarray:
     """Panel edges in v = log x for the Bessel-kernel coefficient integrals
     of phi_on_na and lorentz.coefficient_pairing; lam is the plane wave's
-    oscillation rate in x."""
+    oscillation rate in x.  Where both kernels, at x and e^r x, are below
+    x = 1e-8 they are sums of powers of x, so there only the oscillation
+    bounds the panels; elsewhere they are also at most 0.8 wide.  Raises
+    ConvergenceError, before building, when the grid would have more than
+    ``spec.max_panels`` panels: toward the strip edge the range grows like
+    1 / (m - 2 |Re s|)."""
     depth = spec.truncation_depth
     v_min = -depth / (m - 2.0 * abs(sc.real))
-    v_max = math.log(max(depth / (1.0 + math.exp(r)), 1e-3))
+    # at large x the kernels decay like e^(-(1 + e^r) x), unsuppressed, while
+    # the integral is e^(-pi |Im s|) below that envelope
+    v_max = math.log(max((depth + math.pi * abs(sc.imag)) / (1.0 + math.exp(r)), 1e-3))
+    v_split = min(max(v_min, _LOG_BESSEL_SMALL_X - max(r, 0.0)), v_max)
     t_osc = 2.0 * abs(sc.imag)
-    return oscillation_edges(
-        v_min, v_max, lambda v: lam * math.exp(v) + t_osc, base_width=0.8
-    )
+    widest = math.pi / (2.0 * (1.0 + t_osc))
+    fewest = (v_split - v_min) / widest + (v_max - v_split) / min(0.8, widest)
+    if fewest > spec.max_panels:
+        raise ConvergenceError(f"kernel quadrature needs at least {math.ceil(fewest)} panels, "
+                               f"more than max_panels={spec.max_panels}")
+
+    def rate(v):
+        return lam * math.exp(v) + t_osc
+
+    return np.concatenate([oscillation_edges(v_min, v_split, rate, base_width=math.pi / 2.0)[:-1],
+                           oscillation_edges(v_split, v_max, rate, base_width=0.8)])
 
 
 def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
@@ -401,9 +421,13 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     sig = |Re s|, with both kernels taken as x^sig K_s(x) from
     ``specfun._bessel_k_scaled``, so that neither x nor K_s leaves the
     float range toward the strip edge (checked at sig = m/2 - 0.001,
-    where the grid has about 23,000 panels).  Raises ConvergenceError,
+    where the grid has about 12,000 panels).  Raises ConvergenceError,
     with the estimate in the same units, when two panel bisections do not
-    settle.
+    settle, when the grid would need more than ``spec.max_panels`` panels
+    (for real s from sig of about m/2 - 0.0006 at the default spec), and
+    when the kernels' rounding floor, integrated, exceeds
+    relative_tolerance times the integral of |integrand| (at large |Im s|:
+    from about 10 at m = 1, r = 0.7).
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -415,18 +439,17 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     edges = _kernel_edges(m, sc, r, lam, spec)
     sigma = abs(sc.real)
 
-    def integrand(vs):
+    def rows(vs):
         # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
-        k_near = _bessel_k_scaled(sc, vs, spec)
-        k_far = _bessel_k_scaled(sc, vs + r, spec)
-        return (k_near * k_far * _angular_factor(m, lam * np.exp(vs))
-                * np.exp((m - 2.0 * sigma) * vs - sigma * r))
+        return _kernel_product(_bessel_k_scaled(sc, vs, spec), _bessel_k_scaled(sc, vs + r, spec),
+                               _angular_factor(m, lam * np.exp(vs))
+                               * np.exp((m - 2.0 * sigma) * vs - sigma * r))
 
     def estimate(k):
         e = edges
         for _ in range(k):
             e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
-        return composite(integrand, e)
+        return _kernel_value(composite(rows, e), spec)
 
     pref = (math.pi ** (-m / 2.0) * 2.0 ** (2.0 - m) * math.exp(m * r / 2.0)
             * gamma_ratio((float(m),), (m / 2.0, m / 2.0 + sc, m / 2.0 - sc)))

@@ -356,6 +356,23 @@ class TestCoefficientPairing:
             v2 = sph.phi_on_na(1, s, 0.5, 0.3)
             assert abs(v1 - v2) < 1e-10
 
+    def test_panel_budget_near_the_strip_edge(self):
+        # about 190,000 panels and 180 MB arrays were built here
+        with pytest.raises(ConvergenceError):
+            lz.coefficient_pairing(1, 0.5 - 1e-4, 0.5, 0.3)
+
+    @pytest.mark.parametrize("t", [10.0, 14.0, 20.0])
+    def test_large_imaginary_part_holds_or_raises(self, t):
+        # the panel kernel returned 2.2e-7, 1.5e-4 and 1.8e-2 off at
+        # t = 10, 14 and 20
+        s = complex(0.3, t)
+        try:
+            value = lz.coefficient_pairing(1, s, 0.7, 0.0)
+        except ConvergenceError:
+            return
+        want = sph.phi_lorentz_hyp2(1, s, 0.7)
+        assert abs(value - want) < 1e-8 * abs(want)
+
     def test_reduces_to_phi(self):
         g2 = groups.params_for("so0", 2)
         v = lz.coefficient_pairing(1, 0.3 + 0.5j, 0.9, 0.0)

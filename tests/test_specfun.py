@@ -424,6 +424,50 @@ class TestBesselK:
             for x in xs:
                 sf.bessel_k(complex(0.0, t), float(x))
 
+    @needs_mpmath
+    def test_large_x_is_relative(self):
+        # K_nu(x) is far below absolute_tolerance here; a first level
+        # accepted through it was 1e-5 to 2e-4 off
+        with mpmath.workdps(30):
+            for nu in (0.0, 0.7, 1.2 + 3j):
+                for x in (100.0, 300.0, 600.0):
+                    want = complex(mpmath.besselk(mpmath.mpc(nu), x))
+                    assert rel(sf.bessel_k(nu, x), want) < 1e-12, (nu, x)
+
+    @needs_mpmath
+    def test_large_order_at_moderate_x(self):
+        # the integrand's peak, at t = asinh(60), is 0.18 wide: narrower
+        # than the step the oscillation alone would ask for
+        assert rel(sf.bessel_k(30.0, 0.5), float(mpmath.besselk(30, 0.5))) < 1e-12
+
+    @needs_mpmath
+    def test_large_imaginary_order_within_the_floor(self):
+        # non-dyadic nodes gave 19 ulps of K_sigma at x = 1.19e-8
+        xs = np.logspace(-9.0, math.log10(30.0), 40)
+        vals = sf.bessel_k_many(0.3 + 14j, xs)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for x, val in zip(xs, vals):
+                want = mpmath.besselk(mpmath.mpc(0.3, 14.0), x)
+                assert float(abs(val - want)) <= 8 * eps * float(mpmath.besselk(0.3, x)), x
+
+    @needs_mpmath
+    def test_strip_grid_within_the_contract(self):
+        # error at most max(1e-12 |K_nu|, 8 ulps K_sigma) and no
+        # ConvergenceError; the panel kernel was 8.8 ulps off at 1.2 + 6.5i
+        # and raised at 1.2 + 8.5i on single points
+        xs = np.logspace(-9.0, math.log10(30.0), 40)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(20):
+            for sigma in (0.0, 0.3, 1.2):
+                masses = [float(mpmath.besselk(sigma, x)) for x in xs]
+                for t in np.arange(0.0, 15.25, 0.5):
+                    vals = sf.bessel_k_many(complex(sigma, t), xs)
+                    for x, val, mass in zip(xs, vals, masses):
+                        want = complex(mpmath.besselk(mpmath.mpc(sigma, t), x))
+                        bound = max(1e-12 * abs(want), 8 * eps * mass)
+                        assert abs(val - want) <= bound, (sigma, t, x)
+
 
 class TestWeberSchafheitlin:
     def test_all_zero_instance(self):
@@ -468,6 +512,14 @@ class TestWeberSchafheitlin:
     def test_moment_domain(self):
         with pytest.raises(DomainError):
             sf.bessel_product_moment(0.6, 0.6, -0.3)  # not integrable at 0
+
+    def test_rounding_floor_of_the_kernels_raises(self):
+        # |K_nu| ~ e^(-pi |Im nu| / 2) K_sigma: at Im nu = 16 the kernels'
+        # floor, 8 ulps of K_sigma, reaches about 1e-4 of |K_nu|, far more
+        # than the 1e-8 tolerance allows
+        with pytest.raises(ConvergenceError) as excinfo:
+            sf.bessel_product_moment(0.3 + 16j, 0.3 - 16j, 2.0)
+        assert excinfo.value.achieved_error > 0.0
 
 
 def per_panel_integrate(f, a, b, spec, bisections):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -553,6 +554,29 @@ class TestMultiplierL1Norm:
         with pytest.raises(ConvergenceError):
             sph.multiplier_l1_norm(3, 0.3 + 240j)
 
+    def test_large_imaginary_parts_hold_or_raise(self):
+        # The kernels' rounding floor grows like e^(pi t / 2) against K_s;
+        # a value is returned only within the tolerance (the panel kernel
+        # returned 1.9e-8 off at t = 14; without the floor check the
+        # trapezoid kernel is 2.8e-8 off at t = 20 and 2e16 at t = 40)
+        for t in (0.0, 4.0, 8.0, 12.0):
+            s = complex(0.3, t)
+            assert rel(sph.multiplier_l1_norm(3, s), sph.cb_norm_lorentz(3, s)) < 1e-8
+        for t in (14.0, 16.0, 20.0, 40.0, 60.0):
+            s = complex(0.3, t)
+            try:
+                value = sph.multiplier_l1_norm(3, s)
+            except ConvergenceError:
+                continue
+            assert rel(value, sph.cb_norm_lorentz(3, s)) < 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 8])
+    def test_strip_grid(self, m):
+        for sigma in (0.3, m / 2.0 - 0.1):
+            for t in (-3.0, -1.5, 0.0, 1.0, 3.0):
+                s = complex(sigma, t)
+                assert rel(sph.multiplier_l1_norm(m, s), sph.cb_norm_lorentz(m, s)) < 1e-10
+
     def test_too_slow_decay_is_convergence_error(self):
         # the coarsest grid would need about 2e8 panels
         with pytest.raises(ConvergenceError):
@@ -622,6 +646,27 @@ class TestPhiOnNA:
         for r in (0.5, 1.0):
             v = sph.phi_on_na(m, s, r, [0.0] * m)
             assert abs(v - complex(sph.phi(group, s, r))) < 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_panel_budget_near_the_strip_edge(self, m):
+        # about 190,000 panels and 180 MB arrays were built here
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            sph.phi_on_na(m, m / 2.0 - 1e-4, 0.5, [0.0] * m)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("t", [10.0, 14.0, 20.0])
+    def test_large_imaginary_part_holds_or_raises(self, t):
+        # the panel kernel returned 2.2e-7 and 1.5e-4 off at t = 10 and 14
+        # (a right end too close in, then the kernels' rounding floor); the
+        # floor is measured against the integral of |integrand|
+        s = complex(0.3, t)
+        want = sph.phi_lorentz_hyp2(1, s, 0.7)
+        try:
+            value = sph.phi_on_na(1, s, 0.7, 0.0)
+        except ConvergenceError:
+            return
+        assert rel(value, want) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
