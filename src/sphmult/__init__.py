@@ -21,7 +21,11 @@ The package provides:
 ``errors``, ``groups`` and ``tree`` need only the standard library.  The
 names exported from ``quadrature``, ``specfun`` and ``spherical`` are
 loaded on first use, so ``import sphmult`` does not import numpy; each
-``sphmult`` subcommand imports only the modules it runs.
+``sphmult`` subcommand imports only the modules it runs.  Those three
+modules defer ``import numpy`` to its first use (``quadrature._numpy``),
+so only quadratures and the K_nu kernel import it: ``sphmult eval`` on
+``so0`` and ``sphmult verify`` do, ``sphmult eval`` on ``su``, ``sp`` and
+``f4``, ``norm-table`` and ``tree`` do not.
 """
 
 from importlib import import_module
@@ -44,8 +48,7 @@ from .groups import (
     params_for,
 )
 
-# The numeric modules import numpy, so their names are served on first
-# use (PEP 562) and cached here.
+# The numeric modules are served on first use (PEP 562) and cached here.
 _LAZY_MODULES = {
     "quadrature": ("DEFAULT_SPEC", "QuadratureSpec", "integrate"),
     "specfun": ("bessel_k", "bessel_product_moment", "beta", "gamma", "hyp2f1",

@@ -25,8 +25,10 @@ from dataclasses import dataclass, fields
 from . import groups
 from .errors import CapacityError, DomainError, SphmultError
 
-# The numeric modules (and numpy with them) are imported by the commands
-# that run them, so ``tree`` starts without them.
+# The numeric modules are imported by the commands that run them, so
+# ``tree`` starts without them.  They defer numpy to its first use, so only
+# ``verify`` and ``eval`` on so0 (its quadrature form) import numpy;
+# ``norm-table`` and ``eval`` on su, sp and f4 evaluate closed forms only.
 
 _FLOAT_FMT = "%.17g"
 
@@ -92,8 +94,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             if default is not None and value is not None:
                 value = type(default)(value)
             setattr(config, f.name, value)
-    if config.tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise DomainError("tolerance must be finite and positive")
     return config
 
 

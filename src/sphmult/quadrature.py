@@ -15,16 +15,56 @@ absolute tolerance.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+class _DeferredNumpy:
+    """Stands in for numpy in one module until numpy's first use."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: str):
+        self._owner = owner
+
+    def __getattr__(self, name):
+        numpy = importlib.import_module("numpy")
+        sys.modules[self._owner].np = numpy
+        return getattr(numpy, name)
+
+
+def _numpy(owner: str):
+    """numpy for the module named ``owner``, imported on first use.
+
+    ``specfun`` and ``spherical`` hold closed forms as well as quadratures,
+    and only the quadratures and the K_nu kernel run numpy.  Deferring its
+    import (about 120 ms of a cold start) lets ``sphmult eval`` on SU, Sp
+    and F4 and ``sphmult norm-table`` finish without it.  A numpy already
+    imported is returned as it is.  Otherwise the owner's ``np`` is a
+    stand-in whose first attribute access runs ``import numpy`` and rebinds
+    ``np`` to the module, so later calls pay nothing.  The import system
+    does the loading: threads that reach it at once wait for one import, and
+    a failed import raises its ``ImportError`` and is retried on the next use.
+    """
+    if "numpy" in sys.modules:
+        return importlib.import_module("numpy")
+    return _DeferredNumpy(owner)
+
+
+np = _numpy(__name__)
+
+
+@functools.cache
+def _gauss_legendre():
+    """The 15-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(15)
 
 
 @dataclass(frozen=True)
@@ -37,10 +77,15 @@ class QuadratureSpec:
     truncation_margin: float = 5.0
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        # nan <= 0 is False, so finiteness is checked first: a NaN or
+        # infinite tolerance would accept the unrefined seed estimate.
+        tolerances = (self.relative_tolerance, self.absolute_tolerance)
+        if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
+            raise DomainError("quadrature tolerances must be finite and positive")
         if self.max_panels < 1:
             raise DomainError("max_panels must be at least 1")
+        if not math.isfinite(self.truncation_margin):
+            raise DomainError("truncation_margin must be finite")
 
     @property
     def truncation_depth(self) -> float:
@@ -63,7 +108,8 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes of every panel, flattened, and the panel half-widths."""
     halves = 0.5 * (edges[1:] - edges[:-1])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    return (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel(), halves
+    nodes = _gauss_legendre()[0]
+    return (mids[:, None] + halves[:, None] * nodes[None, :]).ravel(), halves
 
 
 def _estimates(f: Callable, *edge_runs: np.ndarray) -> list:
@@ -72,10 +118,11 @@ def _estimates(f: Callable, *edge_runs: np.ndarray) -> list:
     built = [_panel_nodes(edges) for edges in edge_runs]
     xs = np.concatenate([nodes for nodes, _ in built])
     halves = np.concatenate([h for _, h in built])
-    ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(_GL_NODES))
+    nodes, weights = _gauss_legendre()
+    ys = np.asarray(f(xs), dtype=complex).reshape(len(halves), len(nodes))
     # np.dot per panel, not a matrix product, which sums in another order:
     # a panel's value must not depend on how many panels share the call.
-    return [h * np.dot(_GL_WEIGHTS, y) for h, y in zip(halves, ys)]
+    return [h * np.dot(weights, y) for h, y in zip(halves, ys)]
 
 
 def integrate(
@@ -167,10 +214,11 @@ def integrate(
 def composite(f: Callable, edges: np.ndarray):
     """Non-adaptive composite Gauss-Legendre of a vectorized f over the panel
     edges: a complex number, or one per row where f returns a stack of rows."""
+    nodes, weights = _gauss_legendre()
     xs, halves = _panel_nodes(edges)
     ys = np.asarray(f(xs), dtype=complex)
-    ys = ys.reshape(ys.shape[:-1] + (len(halves), len(_GL_NODES)))
-    sums = np.sum(halves * (ys @ _GL_WEIGHTS), axis=-1)
+    ys = ys.reshape(ys.shape[:-1] + (len(halves), len(nodes)))
+    sums = np.sum(halves * (ys @ weights), axis=-1)
     return complex(sums) if sums.ndim == 0 else sums
 
 

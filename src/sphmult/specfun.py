@@ -43,10 +43,10 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, refine
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, refine
+
+np = _numpy(__name__)
 
 SPECIAL_RTOL = 1e-12
 MAX_SERIES_TERMS = 100_000
@@ -458,7 +458,7 @@ def gauss_value(a: complex, b: complex, c: complex) -> complex:
 EULER_GAMMA = 0.5772156649015329
 
 # Rounding floor of the K_nu quadrature: 8 ulps of the L1 mass K_sigma(x).
-_BESSEL_ROUNDING_FLOOR = 8.0 * float(np.finfo(float).eps)
+_BESSEL_ROUNDING_FLOOR = 8.0 * sys.float_info.epsilon
 
 # Below this the two leading terms of the small-argument expansion are
 # already exact to double precision (corrections are O(x^2) relative).

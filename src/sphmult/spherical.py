@@ -31,13 +31,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, NotAMultiplierError
 from .groups import RankOneGroup, StripPosition, as_spectral, classify
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _numpy,
     composite,
     integrate,
     oscillation_edges,
@@ -56,6 +55,8 @@ from .specfun import (
     gamma_ratio,
     rgamma,
 )
+
+np = _numpy(__name__)
 
 
 class EvalMethod(Enum):

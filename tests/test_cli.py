@@ -247,6 +247,24 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--family", "e8", "--sigma", "0", "--t", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_tolerance_is_usage_error(self, capsys, tol):
+        # --tol nan and --tol inf exited 0 with the unrefined seed estimate
+        # of the SO0 integral (+0.252564605763352 against ...405)
+        code, out, err = run(capsys, "eval", "--family", "so0", "--n", "3", "--sigma", "0.3",
+                             "--t", "1", "--r", "2", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_non_finite_tolerance_in_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": NaN}')
+        code, out, err = run(capsys, "eval", "--family", "so0", "--n", "3", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys, tmp_path):

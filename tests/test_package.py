@@ -38,16 +38,21 @@ def test_unknown_name():
         sphmult.no_such_name  # noqa: B018
 
 
+def _run_script(code):
+    """Run code in a fresh interpreter; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _modules_after(code):
-    script = textwrap.dedent(code) + textwrap.dedent("""
+    return _run_script(textwrap.dedent(code) + textwrap.dedent("""
         import sys
         print(" ".join(sorted(k for k in sys.modules
-                              if k == "numpy" or k.startswith("sphmult"))))
-    """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    return out.split()
+                              if k.startswith(("numpy", "sphmult")))))
+    """)).split()
 
 
 def test_tree_command_does_not_import_numpy():
@@ -66,6 +71,116 @@ def test_tree_command_does_not_import_numpy():
 def test_package_import_does_not_import_numpy():
     loaded = _modules_after("import sphmult; sphmult.params_for('so0', 3)")
     assert "numpy" not in loaded
+
+
+def _cli_modules(argv):
+    return _modules_after(f"""
+        import contextlib, io
+        from sphmult import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+    """)
+
+
+# sigma > 0, so phi_asymptotic runs; r = 45 lies past the handoff radius
+# max(8, 20 / sigma) = 40, where phi itself is the asymptotic form
+CLOSED_FORM_RUNS = {
+    "eval-su": ["eval", "--family", "su", "--n", "2", "--sigma", "0.5", "--t", "0.7",
+                "--r", "1.5"],
+    "eval-sp": ["eval", "--family", "sp", "--n", "2", "--sigma", "0.5", "--t", "-1.2",
+                "--r", "3"],
+    "eval-f4": ["eval", "--family", "f4", "--sigma", "0.5", "--t", "0.3", "--r", "45"],
+    "norm-table": ["norm-table", "--family", "so0", "--n", "3",
+                   "--sigma-range=-1.2:1.2:21", "--t-range=0:3:21"],
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_RUNS.values(), ids=CLOSED_FORM_RUNS)
+def test_closed_form_commands_do_not_load_numpy(argv):
+    loaded = _cli_modules(argv)
+    assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+    assert "sphmult.spherical" in loaded
+
+
+def test_so0_eval_loads_numpy():
+    loaded = _cli_modules(["eval", "--family", "so0", "--n", "3", "--sigma", "0.3",
+                           "--t", "1", "--r", "2"])
+    assert [name for name in loaded if name.startswith("numpy.")]
+
+
+def test_deferred_numpy_is_the_module_a_later_import_returns():
+    _run_script("""
+        import sys
+        from sphmult import quadrature, specfun, spherical
+        assert "numpy" not in sys.modules
+        import numpy
+        for module in (quadrature, specfun, spherical):
+            # the first use rebinds the module's np to numpy itself
+            assert module.np.ndarray is numpy.ndarray and module.np is numpy
+        nodes, weights = numpy.polynomial.legendre.leggauss(15)
+        assert [a.tobytes() for a in quadrature._gauss_legendre()] == [nodes.tobytes(),
+                                                                        weights.tobytes()]
+        assert specfun._BESSEL_ROUNDING_FLOOR == 8 * numpy.finfo(float).eps
+    """)
+
+
+def test_numpy_imported_first_is_used():
+    _run_script("""
+        import numpy
+        from sphmult import quadrature, specfun, spherical
+        assert numpy is quadrature.np is specfun.np is spherical.np
+    """)
+
+
+def test_threads_making_the_first_numpy_call_at_once():
+    # Each thread's first call imports numpy; none may see it half loaded.
+    _run_script("""
+        import sys, threading
+        from sphmult import spherical
+        assert "numpy" not in sys.modules
+        barrier, values, errors = threading.Barrier(6), [], []
+
+        def first_call():
+            barrier.wait()
+            try:
+                values.append(spherical.phi_lorentz_integral(3, 0.3 + 1j, 2.0))
+            except BaseException as exc:
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=first_call) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        assert len(values) == 6 and len(set(values)) == 1
+        assert values[0] == spherical.phi_lorentz_integral(3, 0.3 + 1j, 2.0)
+    """)
+
+
+def test_failed_numpy_import_raises_import_error_and_is_retried():
+    _run_script("""
+        import sys
+        from sphmult import quadrature, spherical
+
+        def call():
+            return spherical.phi_lorentz_integral(3, 0.3, 2.0)
+
+        sys.modules["numpy._core"] = None  # numpy's import of its core fails
+        for _ in range(2):
+            try:
+                call()
+            except ImportError:
+                pass
+            else:
+                raise AssertionError("the load did not fail")
+            assert "numpy" not in sys.modules
+        del sys.modules["numpy._core"]
+        value = call()
+        import numpy
+        assert numpy is quadrature.np is spherical.np
+        assert value == call()
+    """)
 
 
 SOURCE = Path(sphmult.__file__).parent

@@ -10,7 +10,7 @@ import pytest
 
 from sphmult import specfun as sf
 from sphmult.errors import ConvergenceError, DomainError, PoleError, SphmultError
-from sphmult.quadrature import _GL_NODES, _GL_WEIGHTS, QuadratureSpec, integrate
+from sphmult.quadrature import QuadratureSpec, _gauss_legendre, integrate
 
 try:
     import mpmath
@@ -18,6 +18,8 @@ except ImportError:  # the reference-value tests below are skipped without it
     mpmath = None
 
 needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre()
 
 TIGHT = QuadratureSpec(1e-11, 1e-16, 60000, 5.0)
 
@@ -636,3 +638,12 @@ class TestIntegrate:
             QuadratureSpec(relative_tolerance=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_panels=0)
+
+    @pytest.mark.parametrize("field", ["relative_tolerance", "absolute_tolerance",
+                                       "truncation_margin"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, field, value):
+        # a NaN tolerance made integrate return its unrefined seed estimate,
+        # since nan <= 0 and total_err > nan are both False
+        with pytest.raises(DomainError):
+            QuadratureSpec(**{field: value})
