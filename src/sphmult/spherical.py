@@ -98,12 +98,13 @@ def phi(group: RankOneGroup, s, r: float) -> SphericalValue:
     hypergeometric form is used; where it fails, SO0 falls back to
     ``phi_lorentz_integral`` for r <= 100 and everything else raises
     ConvergenceError.  It fails at integer c - a - b near the unit
-    argument, and at large |Im s| for r below about 1.32, where its power
-    series cancels below the 1e-12 tolerance (from |Im s| of about 12 on
-    SO0(1,3) at r = 1).  Re s = 0 beyond r of about 373 is unsupported for
-    now: sech^2 r underflows there, and the two-term Harish-Chandra form
-    that would cover it is ROADMAP item 3.  A value beyond the float
-    range raises ConvergenceError too, and a non-finite s or r DomainError.
+    argument, and at large |Im s|, where a series cancels below the 1e-12
+    tolerance (from |Im s| of about 12 on SO0(1,3) at r = 1, 160 on
+    SU(1,2) at r = 1.4); near integer s it loses digits (ROADMAP item 9).
+    Re s = 0 beyond r of about 373 is unsupported for now: sech^2 r
+    underflows there, and the two-term Harish-Chandra form that would
+    cover it is ROADMAP item 3.  A value beyond the float range raises
+    ConvergenceError too, and a non-finite s or r DomainError.
     """
     m, m0 = group.m, group.m0
     sc = complex(as_spectral(s).value)
@@ -355,30 +356,24 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 
 
 def _angular_factor(m: int, lam: np.ndarray) -> np.ndarray:
-    """int_{S^(m-1)} cos(lam <omega, e1>) dsurface(omega), vectorized in lam.
-
-    Below |lam| = 1e-8 it is the sphere's area to double precision, so the
-    m = 2, 3 node products run only where the plane wave varies, not on
-    the long small-x tail of the kernel integrals.
-    """
+    """int_{S^(m-1)} cos(lam <omega, e1>) dsurface(omega), vectorized in lam:
+    2 cos(lam), 2 pi J_0(lam) by the trapezoid rule over the circle, and
+    4 pi sin(lam) / lam for m = 1, 2, 3.  J_0 runs only where |lam| >= 1e-8,
+    not on the long small-x tail of the kernel integrals."""
     if m not in (1, 2, 3):
         raise DomainError("direct quadrature supports m in {1, 2, 3}")
     lam = np.asarray(lam, dtype=float)
-    out = np.full(lam.shape, (2.0, 2.0 * math.pi, 4.0 * math.pi)[m - 1])
-    wave = np.abs(lam) >= 1e-8
-    if not wave.any():
-        return out
-    lam = lam[wave]
     if m == 1:
-        out[wave] = 2.0 * np.cos(lam)
-    elif m == 2:
+        return 2.0 * np.cos(lam)
+    if m == 3:
+        return 4.0 * math.pi * np.sinc(lam / math.pi)
+    out = np.full(lam.shape, 2.0 * math.pi)
+    wave = np.abs(lam) >= 1e-8
+    if wave.any():
+        lam = lam[wave]
         n = 64 + 8 * int(np.ceil(np.max(np.abs(lam)) / 4.0))
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         out[wave] = np.cos(np.outer(lam, np.cos(theta))).sum(axis=1) * (2.0 * math.pi / n)
-    else:
-        n = 48 + 8 * int(np.ceil(np.max(np.abs(lam)) / 4.0))
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        out[wave] = 2.0 * math.pi * np.cos(np.outer(lam, nodes)) @ weights
     return out
 
 

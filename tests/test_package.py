@@ -1,5 +1,5 @@
 """Package surface: lazy exports, the import graph of the command line and
-the single owner of Gamma products."""
+the single owners of Gamma products and of series summation."""
 
 import ast
 import importlib
@@ -213,3 +213,27 @@ def test_gamma_internals_stay_in_specfun():
                  for field in ("id", "attr", "name")}
         leaked = names & {"_DIRECT_GAMMA_T", "log_gamma_ratio"}
         assert not leaked, (path.name, leaked)
+
+
+def test_one_series_stopping_rule():
+    # every 2F1 series is summed by specfun._sum_series: no other loop in
+    # specfun runs to MAX_SERIES_TERMS or tests its terms against rtol
+    tree = ast.parse((SOURCE / "specfun.py").read_text())
+    helpers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_sum_series"]
+    assert len(helpers) == 1
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_sum_series":
+            continue
+        for loop in ast.walk(func):
+            if isinstance(loop, (ast.For, ast.While)):
+                names = {getattr(node, "id", None) for node in ast.walk(loop)}
+                assert not names & {"MAX_SERIES_TERMS", "max_terms", "rtol"}, \
+                    (func.name, loop.lineno)
+
+
+def test_retired_series_names_stay_gone():
+    for path in SOURCE.glob("*.py"):
+        text = path.read_text()
+        for name in ("conditioned", "_IntegerSeparation", "_pochhammer_is_terminating"):
+            assert name not in text, (path.name, name)

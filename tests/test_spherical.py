@@ -178,13 +178,18 @@ class TestUsefulFormulaForms:
                     assert rel(a, c) < 1e-8
 
 
+def mp_phi(group, s, r):
+    """phi_s(a_r) from mpmath's 2F1 in the stable form, at 40 digits."""
+    with mpmath.workdps(40):
+        m, m0 = group.m, group.m0
+        s, r = mpmath.mpc(s), mpmath.mpf(r)
+        f = mpmath.hyp2f1(m / 4.0 - s / 2, m0 / 4.0 - s / 2, (m + m0) / 4.0, mpmath.tanh(r) ** 2)
+        return complex(mpmath.cosh(r) ** (s - m / 2.0) * f)
+
+
 def mp_phi_so0(m, s, r):
     """phi_s(a_r) on SO0(1, m+1) from mpmath's 2F1, at 40 digits."""
-    with mpmath.workdps(40):
-        s, r = mpmath.mpc(s), mpmath.mpf(r)
-        f = mpmath.hyp2f1(m / 4.0 - s / 2, (m + 2) / 4.0 - s / 2, (m + 1) / 2.0,
-                          mpmath.tanh(r) ** 2)
-        return complex(mpmath.cosh(r) ** (s - m / 2.0) * f)
+    return mp_phi(groups.params_for("so0", m + 1), s, r)
 
 
 class TestIntegralBoundaryLayer:
@@ -253,6 +258,45 @@ class TestLargeImaginaryPart:
         value = sph.phi(SO13, 0.3 + 1e3j, 1.0)
         assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
         assert rel(complex(value), self.want(1e3)) < 1e-10
+
+
+# phi on these families is the stable 2F1 form alone, with no fallback
+HYP2F1_ONLY = [groups.params_for(f, n) for f, n in (("su", 2), ("su", 3), ("sp", 2), ("f4", None))]
+
+
+class TestCancellingConnectionSeries:
+    """The connection series at unit argument cancel at large |Im s|: at
+    (0.3 + 3000i, 2) phi was returned up to 2e6 off, at (0.3 + 300i, 1.4)
+    up to 4e-10, labelled hypergeometric_stable."""
+
+    POINTS = ((complex(0.3, 3000.0), 2.0), (complex(0.3, 300.0), 1.4))
+
+    @pytest.mark.parametrize("group", HYP2F1_ONLY, ids=str)
+    def test_raises_without_a_fallback(self, group):
+        for s, r in self.POINTS:
+            with pytest.raises(ConvergenceError):
+                sph.phi(group, s, r)
+
+    def test_so0_falls_back_to_the_integral(self):
+        for s, r in self.POINTS:
+            value = sph.phi(SO13, s, r)
+            assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+            assert rel(complex(value), sph.phi_lorentz_hyp2(2, s, r)) < 1e-8
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @pytest.mark.parametrize("group", HYP2F1_ONLY, ids=str)
+    def test_well_conditioned_points_still_return(self, group):
+        s, r = complex(0.3, 100.0), 1.4
+        value = sph.phi(group, s, r)
+        assert value.method is sph.EvalMethod.HYPERGEOMETRIC_STABLE
+        assert rel(complex(value), mp_phi(group, s, r)) < 1e-12
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @pytest.mark.parametrize("group", HYP2F1_ONLY + [SO13], ids=str)
+    def test_logarithmic_case_at_s_zero(self, group):
+        # the log series stopped on one small term: 2.3e-13 off at r = 1.4
+        for r in (1.4, 2.0, 4.0):
+            assert rel(complex(sph.phi(group, 0.0, r)), mp_phi(group, 0.0, r)) < 5e-14
 
 
 class TestCFunction:
@@ -667,6 +711,21 @@ class TestPhiOnNA:
         except ConvergenceError:
             return
         assert rel(value, want) < 1e-8
+
+    @pytest.mark.parametrize("m, y", [(1, 0.6), (2, [0.36, 0.48]), (3, [0.2, 0.4, 0.4])])
+    def test_off_the_axis_is_phi_at_the_composed_distance(self, m, y):
+        # a_r n_y has distance d from the origin, cosh d = cosh r + |y|^2 e^r / 2;
+        # |y| = 0.6 in each case
+        s, r = 0.2 + 0.3j, 0.4
+        d = math.acosh(math.cosh(r) + 0.6**2 * math.exp(r) / 2.0)
+        want = complex(sph.phi(groups.params_for("so0", m + 1), s, d))
+        assert rel(sph.phi_on_na(m, s, r, y), want) < 1e-12
+
+    def test_angular_factor_closed_form_at_m3(self):
+        # the Gauss-Legendre sum it replaces was 5e-14 of the area off at lam = 4000
+        lam = np.array([0.0, 1e-9, 0.7, 40.0, 4000.0])
+        want = [4.0 * math.pi] * 2 + [4.0 * math.pi * math.sin(x) / x for x in lam[2:]]
+        assert np.allclose(sph._angular_factor(3, lam), want, rtol=0.0, atol=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
