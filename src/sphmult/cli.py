@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-        p.add_argument("--tol", type=float, help="tolerance for quadratures")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "text"))
 
@@ -302,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sigma", type=float, help="Re(s)")
     p_eval.add_argument("--t", type=float, help="Im(s)")
     p_eval.add_argument("--r", type=float, help="radial coordinate")
+    p_eval.add_argument("--tol", type=float, help="tolerance of the so0 quadrature form")
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     add_common(p_verify)

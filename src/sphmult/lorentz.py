@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError, InvariantError
 from .groups import as_spectral
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
-from .specfun import _bessel_k_scaled, _kernel_product, _kernel_value, bessel_k_many, rgamma
-from .spherical import _c_m, _kernel_edges, _open_strip
+from .specfun import _bessel_k_scaled, _kernel_edges, _kernel_integral, bessel_k_many, rgamma
+from .spherical import _c_m, _open_strip
 
 _MATRIX_TOL = 1e-10
 
@@ -263,7 +263,7 @@ def fhat_check(m: int, s, y_norm: float,
         if head < 1e-10:
             break
         x_max *= 2.0
-    edges = oscillation_edges(0.0, x_max, lambda x: y, base_width=1.0)
+    edges = oscillation_edges(0.0, x_max, y, base_width=1.0)
     body = composite(lambda x: f(x) * np.cos(y * x), edges)
     sin_xy, cos_xy = math.sin(y * x_max), math.cos(y * x_max)
     tail = (
@@ -289,26 +289,29 @@ def coefficient_pairing(m: int, s, r: float, y: float,
 
     v_s is the Bessel kernel vector; the solvable-group action sends
     f(x) to e^(mr/2) e^(-i y e^r x) f(e^r x).  Cross-checks phi_on_na,
-    which carries the same content through a prefactor formula.  As there,
-    the integral runs in v = log x with both kernels taken as x^sig K(x),
-    sig = |Re s|, so that it holds up to the strip edge, and it raises
-    ConvergenceError on the same panel budget and rounding floor.
+    which carries the same content through a prefactor formula.  The
+    integral is ``specfun._kernel_integral`` on the grid of phi_on_na,
+    without bisection, so it holds up to the strip edge and raises
+    ConvergenceError, with the estimate in the units of the value, on the
+    same panel budget and rounding floor.
     """
     if m != 1:
         raise DomainError("coefficient_pairing supports m = 1 only")
     sc = _open_strip(m, s, "coefficient_pairing")
     r = float(r)
     lam = math.exp(r) * abs(float(y))
-    edges = _kernel_edges(m, sc, r, lam, spec)
     sigma = abs(sc.real)
     sc_neg_conj = -sc.conjugate()
     coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc)
     coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc_neg_conj)
 
-    def rows(vs):
+    def kernels(vs):
         right, right_mass = _bessel_k_scaled(sc_neg_conj, vs, spec)
-        return _kernel_product(_bessel_k_scaled(sc, vs + r, spec), (np.conjugate(right), right_mass),
-                               coeff_left * np.conjugate(coeff_right) * np.cos(lam * np.exp(vs))
-                               * np.exp((m - 2.0 * sigma) * vs - sigma * r))
+        return _bessel_k_scaled(sc, vs + r, spec), (np.conjugate(right), right_mass)
 
-    return 2.0 * math.exp(m * r / 2.0) * _kernel_value(composite(rows, edges), spec)
+    def weight(vs):
+        return np.cos(lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)
+
+    scale = 2.0 * math.exp(m * r / 2.0) * coeff_left * coeff_right.conjugate()
+    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc_neg_conj, m - 1.0, r, lam, spec),
+                            spec, 0, "coefficient pairing quadrature", scale)

@@ -208,7 +208,7 @@ def integrate(
         push(lo, mid, left, *quarters[:2])
         push(mid, hi, right, *quarters[2:])
 
-    return total
+    return complex(total)
 
 
 def composite(f: Callable, edges: np.ndarray):
@@ -225,8 +225,11 @@ def composite(f: Callable, edges: np.ndarray):
 def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> complex:
     """estimate(k) for the first k in 1..levels within relative_tolerance *
     max(|estimate(k)|, absolute_tolerance) of estimate(k - 1); otherwise
-    ConvergenceError with the last estimate and difference."""
+    ConvergenceError with the last estimate and difference.  With no levels,
+    estimate(0) unchecked."""
     value = estimate(0)
+    if not levels:
+        return value
     for k in range(1, levels + 1):
         finer = estimate(k)
         err = abs(value - finer)
@@ -238,17 +241,19 @@ def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> 
     )
 
 
-def oscillation_edges(a: float, b: float, rate: Callable[[float], float],
+def oscillation_edges(a: float, b: float, t: float, lam: float = 0.0,
                       base_width: float = 0.9) -> np.ndarray:
-    """Panel edges sized against a local oscillation rate (radians/unit).
-
-    Keeps each panel under roughly half an oscillation period so the
-    15-point rule stays in its spectrally accurate regime.
-    """
+    """Panel edges on [a, b] sized against the oscillation rate t + lam e^x
+    (radians/unit): each panel is at most base_width and about a quarter
+    period wide, so the 15-point rule stays in its spectrally accurate
+    regime.  At lam = 0 the panels are equal."""
+    if not lam:
+        width = min(base_width, math.pi / (2.0 * (1.0 + abs(t))))
+        return np.linspace(a, b, math.ceil((b - a) / width) + 1)
     edges = [a]
     x = a
     while x < b:
-        w = min(base_width, math.pi / (2.0 * (1.0 + abs(rate(x)))))
+        w = min(base_width, math.pi / (2.0 * (1.0 + abs(t + lam * math.exp(x)))))
         x = min(b, x + w)
         edges.append(x)
     return np.array(edges)

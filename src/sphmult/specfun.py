@@ -1,8 +1,8 @@
 """Special functions of complex parameters.
 
 Everything here is built from a Lanczos evaluation of the Gamma function
-and from quadrature: composite Gauss-Legendre for the moment integral,
-the trapezoidal rule for K_nu.  The module keeps
+and from quadrature: composite Gauss-Legendre for the Bessel-kernel
+integrals, the trapezoidal rule for K_nu.  The module keeps
 its own closed forms and its quadrature oracles strictly separate, so each
 side can be used to validate the other:
 
@@ -18,11 +18,14 @@ side can be used to validate the other:
   by truncation point share the nodes in runs of up to 256, each level is
   one matrix product, and every point keeps its own stopping rule.  Below
   x = 1e-8 one closed form, the two leading terms of the small-argument
-  expansion scaled by x^|Re nu| and written in v = log x, takes over; the
-  Bessel kernel integrals take x^|Re nu| K_nu(x), with the scale of its
-  rounding floor, on their log grids from the same helper,
-  ``_bessel_k_scaled``, and raise ConvergenceError where that floor,
-  integrated, exceeds their tolerance,
+  expansion scaled by x^|Re nu| and written in v = log x, takes over,
+* every Bessel-kernel integral (``bessel_product_moment``,
+  ``spherical.phi_on_na``, ``lorentz.coefficient_pairing``) is one
+  ``_kernel_integral`` on the grid of ``_kernel_edges``: the kernels
+  x^|Re nu| K_nu(x) and the scale of their rounding floor from
+  ``_bessel_k_scaled``, panels in v = log x bisected through
+  ``quadrature.refine``, and ConvergenceError where the floor, integrated,
+  exceeds the tolerance,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
   ``bessel_product_moment`` is its quadrature counterpart.
@@ -45,7 +48,8 @@ from itertools import count
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, refine
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _numpy, composite, oscillation_edges,
+                         refine)
 
 np = _numpy(__name__)
 
@@ -508,7 +512,7 @@ def _bessel_k_scaled(nu: complex, vs: np.ndarray,
     """r^sigma K_nu(r) and r^sigma K_sigma(r), sigma = |Re nu|, at r = e^v for
     every v: the small-x form in v below _BESSEL_SMALL_X, the K_nu kernel
     above it.  The second array is the scale of the first one's rounding
-    floor; ``_kernel_product`` integrates it."""
+    floor; ``_kernel_integral`` integrates it."""
     out = np.empty(vs.shape, dtype=complex)
     mass = np.empty(vs.shape)
     small = vs < _LOG_BESSEL_SMALL_X
@@ -523,19 +527,43 @@ def _bessel_k_scaled(nu: complex, vs: np.ndarray,
     return out, mass
 
 
-def _kernel_product(first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray],
-                    weight: np.ndarray) -> np.ndarray:
-    """Rows for composite() and ``_kernel_value`` from two (K, mass) pairs of
-    ``_bessel_k_scaled``: K1 K2 weight, its modulus, and its rounding floor
-    8 ulps (M1 |K2| + |K1| M2) |weight|."""
-    (k1, m1), (k2, m2) = first, second
-    value = k1 * k2 * weight
-    floor = _BESSEL_ROUNDING_FLOOR * (m1 * np.abs(k2) + np.abs(k1) * m2) * np.abs(weight)
-    return np.stack([value, np.abs(value), floor])
+def _kernel_edges(nu: complex, mu: complex, power: complex, shift: float, lam: float,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """Panel edges in v = log x for int K_nu(e^shift x) K_mu(x) x^power dx
+    times a plane wave of rate lam in x.
+
+    The grid starts where the decay e^(d v), d = Re power + 1 - |Re nu| -
+    |Re mu|, has spent the truncation depth D, and ends where the kernels'
+    e^(-(1 + e^shift) x) has spent D plus pi max(|Im nu|, |Im mu|) (the
+    integral lies that far below their envelope) against x^(Re power + 1).
+    Panels follow the oscillation rate |Im nu| + |Im mu| + |Im power| +
+    lam x, and are at most 0.9 wide unless both kernels are below x = 1e-8
+    (sums of powers of x).  Raises DomainError when d <= 0, ConvergenceError
+    before building a grid of more than ``spec.max_panels`` panels.
+    """
+    decay = power.real + 1.0 - abs(nu.real) - abs(mu.real)
+    if decay <= 0:
+        raise DomainError("Bessel-kernel integrand is not integrable at x = 0")
+    depth = spec.truncation_depth
+    v_min = -depth / decay
+    depth_right = depth + math.pi * max(abs(nu.imag), abs(mu.imag))
+    rate = 1.0 + math.exp(shift)
+    v_max = 0.0
+    for _ in range(5):
+        v_max = math.log(max((depth_right + (power.real + 1.0) * v_max) / rate, 1e-3))
+    v_split = min(max(v_min, _LOG_BESSEL_SMALL_X - max(shift, 0.0)), v_max)
+    osc = abs(nu.imag) + abs(mu.imag) + abs(power.imag)
+    widest = math.pi / (2.0 * (1.0 + osc))
+    fewest = (v_split - v_min) / widest + (v_max - v_split) / min(0.9, widest)
+    if fewest > spec.max_panels:
+        raise ConvergenceError(f"Bessel-kernel quadrature needs at least {math.ceil(fewest)} "
+                               f"panels, more than max_panels={spec.max_panels}")
+    return np.concatenate([oscillation_edges(v_min, v_split, osc, lam, math.pi / 2.0)[:-1],
+                           oscillation_edges(v_split, v_max, osc, lam, 0.9)])
 
 
 def _kernel_value(sums: np.ndarray, spec: QuadratureSpec) -> complex:
-    """The value from composite() of ``_kernel_product`` rows.  The K_nu
+    """The value from composite() of ``_kernel_integral``'s rows.  The K_nu
     kernel is exact only to its rounding floor, so a floor whose integral
     exceeds relative_tolerance times the integral of |integrand| raises
     ConvergenceError; |integrand|, not the value, so that zeros of the
@@ -544,8 +572,36 @@ def _kernel_value(sums: np.ndarray, spec: QuadratureSpec) -> complex:
     if floor.real > spec.relative_tolerance * size.real:
         raise ConvergenceError(
             "the K_nu kernel's rounding floor exceeds the quadrature tolerance",
-            best_estimate=value, achieved_error=floor.real)
+            best_estimate=complex(value), achieved_error=float(floor.real))
     return value
+
+
+def _kernel_integral(kernels, weight, edges: np.ndarray, spec: QuadratureSpec, levels: int,
+                     what: str, scale: complex) -> complex:
+    """scale times the integral over v of K1 K2 weight(v) on the panel edges,
+    where kernels(vs) gives the two (K, M) pairs of ``_bessel_k_scaled``.
+
+    composite() sums the value, its modulus and its rounding floor
+    8 ulps (M1 |K2| + |K1| M2) |scale weight|; ``_kernel_value`` checks the
+    floor.  The panels are bisected up to ``levels`` times until two levels
+    agree (``quadrature.refine``).  The scale enters every node, so the
+    value and a ConvergenceError's estimate and error are in caller units.
+    """
+
+    def rows(vs):
+        (k1, m1), (k2, m2) = kernels(vs)
+        w = scale * weight(vs)
+        value = k1 * k2 * w
+        floor = _BESSEL_ROUNDING_FLOOR * (m1 * np.abs(k2) + np.abs(k1) * m2) * np.abs(w)
+        return np.stack([value, np.abs(value), floor])
+
+    def estimate(k):
+        e = edges
+        for _ in range(k):
+            e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
+        return _kernel_value(composite(rows, e), spec)
+
+    return complex(refine(estimate, levels, spec, what))
 
 
 # Most points that share the trapezoid nodes in the batched K_nu kernel:
@@ -718,43 +774,29 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     r < 1e-8, so that neither K_nu^2 nor r leaves the float range when the
     decay is slow.  This is the independent oracle for
     ``weber_schafheitlin_rhs`` (with power = -rho) and for every L^2 norm
-    built on Bessel kernels.  Raises ConvergenceError when the coarsest
-    grid would need more than ``spec.max_panels`` panels, i.e. when the
-    decay at r = 0 is slower than about depth / (0.9 max_panels), and when
-    the K_nu kernels' rounding floor, 8 ulps (K_a |K_mu| + |K_nu| K_b)
-    integrated against r^power, exceeds ``spec.relative_tolerance`` times
-    the integral of |integrand|: at large |Im nu|, where
-    |K_nu| ~ e^(-pi |Im nu| / 2) K_a, the kernels carry too few digits.
+    built on Bessel kernels.  The grid is ``_kernel_edges``', bisected up to
+    three times.  Raises ConvergenceError when the grid would need more
+    than ``spec.max_panels`` panels (a decay at r = 0 too slow for the
+    budget), when three bisections do not settle, and when the K_nu
+    kernels' rounding floor, 8 ulps (K_a |K_mu| + |K_nu| K_b) integrated
+    against r^power, exceeds ``spec.relative_tolerance`` times the integral
+    of |integrand|: at large |Im nu|, where |K_nu| ~ e^(-pi |Im nu| / 2) K_a,
+    the kernels carry too few digits.
     """
-    nu, mu, power = complex(nu), complex(mu), complex(power)
-    decay_left = power.real + 1.0 - abs(nu.real) - abs(mu.real)
-    if decay_left <= 0:
-        raise DomainError("moment integrand is not integrable at r = 0")
-    depth = spec.truncation_depth
-    v_min = -depth / decay_left
-    # Large-r decay is exp(-2 e^v); solve 2 e^v - (Re power + 1) v >= depth
-    # plus pi max(|Im nu|, |Im mu|): the integral is that many e-folds below
-    # the integrand's envelope there (its four Gammas of (1 +- nu +- mu)/2).
-    depth_right = depth + math.pi * max(abs(nu.imag), abs(mu.imag))
-    v_max = math.log(0.5 * depth_right + 2.0)
-    for _ in range(4):
-        v_max = math.log(0.5 * (depth_right + max(0.0, (power.real + 1.0) * v_max)) + 2.0)
-    osc = abs(nu.imag) + abs(mu.imag) + abs(power.imag)
-    width = min(0.9, math.pi / (2.0 * (1.0 + osc)))
-    n = max(8, int(math.ceil((v_max - v_min) / width)))
-    if n > spec.max_panels:
-        raise ConvergenceError(
-            f"moment quadrature needs {n} panels, more than max_panels={spec.max_panels}")
+    return _product_moment(complex(nu), complex(mu), complex(power), spec, 1.0)
 
-    conjugate_pair = mu == nu.conjugate()
 
-    def rows(vs):
+def _product_moment(nu: complex, mu: complex, power: complex, spec: QuadratureSpec,
+                    scale: float) -> complex:
+    """scale times ``bessel_product_moment``, with a ConvergenceError's
+    estimate and error in the same units."""
+    exponent = power + 1.0 - abs(nu.real) - abs(mu.real)
+
+    def kernels(vs):
         k1, m1 = _bessel_k_scaled(nu, vs, spec)
-        k2, m2 = (np.conjugate(k1), m1) if conjugate_pair else _bessel_k_scaled(mu, vs, spec)
-        return _kernel_product((k1, m1), (k2, m2),
-                               np.exp((power + 1.0 - abs(nu.real) - abs(mu.real)) * vs))
+        second = (np.conjugate(k1), m1) if mu == nu.conjugate() else _bessel_k_scaled(mu, vs, spec)
+        return (k1, m1), second
 
-    return refine(
-        lambda k: _kernel_value(composite(rows, np.linspace(v_min, v_max, n * 2**k + 1)), spec),
-        3, spec, "bessel moment quadrature",
-    )
+    return _kernel_integral(kernels, lambda vs: np.exp(exponent * vs),
+                            _kernel_edges(nu, mu, power, 0.0, 0.0, spec), spec, 3,
+                            "bessel moment quadrature", scale)

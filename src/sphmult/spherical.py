@@ -33,24 +33,15 @@ from enum import Enum
 
 from .errors import ConvergenceError, DomainError, NotAMultiplierError
 from .groups import RankOneGroup, StripPosition, as_spectral, classify
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    _numpy,
-    composite,
-    integrate,
-    oscillation_edges,
-    refine,
-)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, integrate
 from .specfun import (
     SPECIAL_RTOL,
-    _LOG_BESSEL_SMALL_X,
     _bessel_k_scaled,
     _hyp2f1_zw,
-    _kernel_product,
-    _kernel_value,
+    _kernel_edges,
+    _kernel_integral,
+    _product_moment,
     bessel_k,
-    bessel_product_moment,
     gamma,
     gamma_ratio,
     rgamma,
@@ -337,18 +328,18 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     Computed by quadrature:  2^(3-m) G(m) / (G(m/2)^2 |G(m/2+s) G(m/2-s)|)
     times int_0^inf |K_s(r)|^2 r^(m-1) dr.  K_s ~ e^(-pi |Im s| / 2) K_sigma
     sinks toward the K_nu kernel's rounding floor, 8 ulps of K_sigma, as
-    |Im s| grows: ``bessel_product_moment`` raises ConvergenceError once that
-    floor, integrated, exceeds the tolerance (from |Im s| of about 13.5
-    at m = 3, within 0.3 s), and beyond |Im s| = 64 it raises at once.
+    |Im s| grows: the moment integral (``bessel_product_moment``'s) raises
+    ConvergenceError, with its estimate in the units of the norm, once that
+    floor, integrated, exceeds the tolerance (from |Im s| of about 13.5 at
+    m = 3, within 0.1 s), and beyond |Im s| = 64 it raises at once.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
     if abs(sc.imag) > _L1_NORM_MAX_T:
         raise ConvergenceError(
             f"multiplier_l1_norm: K_s is below the quadrature's rounding floor at s={sc}")
-    moment = bessel_product_moment(sc, sc.conjugate(), m - 1.0, spec)
     half = m / 2.0
     const = 2.0 ** (3.0 - m) * abs(gamma_ratio((float(m),), (half, half, half + sc, half - sc)))
-    return const * moment.real
+    return _product_moment(sc, sc.conjugate(), complex(m - 1.0), spec, const).real
 
 
 # ---------------------------------------------------------------------------
@@ -377,53 +368,22 @@ def _angular_factor(m: int, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_edges(m: int, sc: complex, r: float, lam: float,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """Panel edges in v = log x for the Bessel-kernel coefficient integrals
-    of phi_on_na and lorentz.coefficient_pairing; lam is the plane wave's
-    oscillation rate in x.  Where both kernels, at x and e^r x, are below
-    x = 1e-8 they are sums of powers of x, so there only the oscillation
-    bounds the panels; elsewhere they are also at most 0.8 wide.  Raises
-    ConvergenceError, before building, when the grid would have more than
-    ``spec.max_panels`` panels: toward the strip edge the range grows like
-    1 / (m - 2 |Re s|)."""
-    depth = spec.truncation_depth
-    v_min = -depth / (m - 2.0 * abs(sc.real))
-    # at large x the kernels decay like e^(-(1 + e^r) x), unsuppressed, while
-    # the integral is e^(-pi |Im s|) below that envelope
-    v_max = math.log(max((depth + math.pi * abs(sc.imag)) / (1.0 + math.exp(r)), 1e-3))
-    v_split = min(max(v_min, _LOG_BESSEL_SMALL_X - max(r, 0.0)), v_max)
-    t_osc = 2.0 * abs(sc.imag)
-    widest = math.pi / (2.0 * (1.0 + t_osc))
-    fewest = (v_split - v_min) / widest + (v_max - v_split) / min(0.8, widest)
-    if fewest > spec.max_panels:
-        raise ConvergenceError(f"kernel quadrature needs at least {math.ceil(fewest)} panels, "
-                               f"more than max_panels={spec.max_panels}")
-
-    def rate(v):
-        return lam * math.exp(v) + t_osc
-
-    return np.concatenate([oscillation_edges(v_min, v_split, rate, base_width=math.pi / 2.0)[:-1],
-                           oscillation_edges(v_split, v_max, rate, base_width=0.8)])
-
-
 def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """phi_s(a_r n_y) through the Bessel-kernel coefficient integral.
 
     For y = 0 this reproduces phi_s(a_r); for r = 0 it is the Fourier
     transform of the squared-Bessel kernel at y.  Supports m in {1,2,3}
-    and s in the open strip.  The integral runs in v = log x over
-    [-D / (m - 2 sig), ...], D the spec's truncation depth and
-    sig = |Re s|, with both kernels taken as x^sig K_s(x) from
-    ``specfun._bessel_k_scaled``, so that neither x nor K_s leaves the
-    float range toward the strip edge (checked at sig = m/2 - 0.001,
-    where the grid has about 12,000 panels).  Raises ConvergenceError,
-    with the estimate in the same units, when two panel bisections do not
-    settle, when the grid would need more than ``spec.max_panels`` panels
-    (for real s from sig of about m/2 - 0.0006 at the default spec), and
-    when the kernels' rounding floor, integrated, exceeds
-    relative_tolerance times the integral of |integrand| (at large |Im s|:
-    from about 10 at m = 1, r = 0.7).
+    and s in the open strip.  K_s(x) K_s(e^r x) x^(m-1) times the angular
+    factor is integrated by ``specfun._kernel_integral`` on the grid of
+    ``specfun._kernel_edges``, bisected up to twice; it holds up to the
+    strip edge (checked at sig = |Re s| = m/2 - 0.001, where the grid has
+    about 12,000 panels).  Raises ConvergenceError, with the estimate in
+    the units of the value, when two bisections do not settle, when the
+    grid would need more than ``spec.max_panels`` panels (for real s from
+    sig of about m/2 - 0.0006 at the default spec), and when the kernels'
+    rounding floor, integrated, exceeds relative_tolerance times the
+    integral of |integrand| (at large |Im s|: from about 10 at m = 1,
+    r = 0.7).
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -431,30 +391,19 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     r = float(r)
     y_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float))))
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave
-
-    edges = _kernel_edges(m, sc, r, lam, spec)
     sigma = abs(sc.real)
 
-    def rows(vs):
-        # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
-        return _kernel_product(_bessel_k_scaled(sc, vs, spec), _bessel_k_scaled(sc, vs + r, spec),
-                               _angular_factor(m, lam * np.exp(vs))
-                               * np.exp((m - 2.0 * sigma) * vs - sigma * r))
+    def kernels(vs):
+        return _bessel_k_scaled(sc, vs, spec), _bessel_k_scaled(sc, vs + r, spec)
 
-    def estimate(k):
-        e = edges
-        for _ in range(k):
-            e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
-        return _kernel_value(composite(rows, e), spec)
+    def weight(vs):
+        # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
+        return _angular_factor(m, lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)
 
     pref = (math.pi ** (-m / 2.0) * 2.0 ** (2.0 - m) * math.exp(m * r / 2.0)
             * gamma_ratio((float(m),), (m / 2.0, m / 2.0 + sc, m / 2.0 - sc)))
-    try:
-        return pref * refine(estimate, 2, spec, "phi_on_na quadrature")
-    except ConvergenceError as exc:
-        exc.best_estimate *= pref
-        exc.achieved_error *= abs(pref)
-        raise
+    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc, m - 1.0, r, lam, spec), spec,
+                            2, "phi_on_na quadrature", pref)
 
 
 def cesaro_extract(phi_map, x0: float, n: int) -> complex:

@@ -390,6 +390,25 @@ class TestConfig:
         assert code == 0
         assert len(out.strip().splitlines()) == 6  # 5 sigma values x 1 t
 
+    # --tol is read by eval alone; elsewhere it was accepted and ignored
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--radius", "2"],
+        ["verify", "--checks", "gamma-recurrence"],
+        ["norm-table", "--n", "3", "--sigma-range=0:0:1", "--t-range=0:0:1"],
+    ], ids=["tree", "verify", "norm-table"])
+    def test_tol_flag_is_eval_only(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--tol", "1e-30")
+        assert code == 2
+        assert out == ""
+
+    def test_config_tol_serves_every_command(self, capsys, tmp_path):
+        # one config file may serve several subcommands
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-9, "n": 3, "sigma_range": "0:0:1",
+                                   "t_range": "0:0:1", "radius": 2}))
+        assert run(capsys, "norm-table", "--config", str(cfg))[0] == 0
+        assert run(capsys, "tree", "--config", str(cfg))[0] == 0
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -361,6 +361,18 @@ class TestCoefficientPairing:
         with pytest.raises(ConvergenceError):
             lz.coefficient_pairing(1, 0.5 - 1e-4, 0.5, 0.3)
 
+    def test_error_payload_is_in_the_units_of_phi_on_na(self):
+        # the kernels' floor raises in both; the pairing's estimate lacked
+        # its factor 2 e^(mr/2) (0.0354 against 0.1497)
+        args = (1, 0.2 + 12j, 1.5, 0.4)
+        with pytest.raises(ConvergenceError) as pairing:
+            lz.coefficient_pairing(*args)
+        with pytest.raises(ConvergenceError) as extension:
+            sph.phi_on_na(*args)
+        want = extension.value.best_estimate
+        assert abs(pairing.value.best_estimate - want) < 1e-6 * abs(want)
+        assert abs(pairing.value.achieved_error / extension.value.achieved_error - 1.0) < 1e-3
+
     @pytest.mark.parametrize("t", [10.0, 14.0, 20.0])
     def test_large_imaginary_part_holds_or_raises(self, t):
         # the panel kernel returned 2.2e-7, 1.5e-4 and 1.8e-2 off at

@@ -1,5 +1,6 @@
 """Package surface: lazy exports, the import graph of the command line and
-the single owners of Gamma products and of series summation."""
+the single owners of Gamma products, of series summation and of the
+Bessel-kernel integral."""
 
 import ast
 import importlib
@@ -204,14 +205,17 @@ def test_gamma_products_go_through_gamma_ratio(module):
                     assert _gamma_calls(expr) < 2, f"{module}:{expr.lineno}"
 
 
+def _names(path):
+    """Names, attributes, imported names and definitions in a module."""
+    return {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("id", "attr", "name")}
+
+
 def test_gamma_internals_stay_in_specfun():
     for path in SOURCE.glob("*.py"):
         if path.name == "specfun.py":
             continue
-        # names, attributes, imported names and definitions
-        names = {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
-                 for field in ("id", "attr", "name")}
-        leaked = names & {"_DIRECT_GAMMA_T", "log_gamma_ratio"}
+        leaked = _names(path) & {"_DIRECT_GAMMA_T", "log_gamma_ratio"}
         assert not leaked, (path.name, leaked)
 
 
@@ -237,3 +241,51 @@ def test_retired_series_names_stay_gone():
         text = path.read_text()
         for name in ("conditioned", "_IntegerSeparation", "_pochhammer_is_terminating"):
             assert name not in text, (path.name, name)
+
+
+def _function(module, name):
+    tree = ast.parse((SOURCE / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _callee(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _callees(node):
+    return {_callee(call) for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_kernel_integral_internals_stay_in_specfun():
+    # the rows, the rounding floor and its check have one owner, and the
+    # grid rule one home
+    for path in SOURCE.glob("*.py"):
+        names = _names(path)
+        assert "_kernel_product" not in names, path.name
+        if path.name != "specfun.py":
+            leaked = names & {"_BESSEL_ROUNDING_FLOOR", "_kernel_value"}
+            assert not leaked, (path.name, leaked)
+            assert not any(isinstance(node, ast.FunctionDef) and node.name == "_kernel_edges"
+                           for node in ast.walk(ast.parse(path.read_text()))), path.name
+
+
+@pytest.mark.parametrize("module, name", [("spherical.py", "multiplier_l1_norm"),
+                                          ("spherical.py", "phi_on_na"),
+                                          ("lorentz.py", "coefficient_pairing")])
+def test_kernel_integrals_go_through_specfun(module, name):
+    # each supplies its kernels, weight and prefactor; specfun integrates
+    callees = _callees(_function(module, name))
+    assert not callees & {"composite", "refine", "integrate", "oscillation_edges"}, callees
+    assert callees & {"_kernel_integral", "_product_moment"}, callees
+
+
+def test_oscillation_edges_takes_a_rate_not_a_callable():
+    args = _function("quadrature.py", "oscillation_edges").args.args
+    assert [arg.arg for arg in args] == ["a", "b", "t", "lam", "base_width"]
+    assert not any("Callable" in ast.unparse(arg.annotation) for arg in args if arg.annotation)
+    for path in SOURCE.glob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and _callee(call) == "oscillation_edges":
+                passed = call.args + [keyword.value for keyword in call.keywords]
+                assert not any(isinstance(arg, ast.Lambda) for arg in passed), path.name

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sphmult import groups, spherical as sph
+from sphmult import groups, specfun, spherical as sph
 from sphmult.errors import ConvergenceError, DomainError, NotAMultiplierError
 from sphmult.quadrature import QuadratureSpec, integrate
 from sphmult.specfun import bessel_product_moment, gamma
@@ -30,6 +30,18 @@ def rel(a, b):
 
 
 class TestPhi:
+    def test_values_are_python_numbers_on_every_route(self):
+        # the quadrature route returned np.complex128, and the L1 norm
+        # np.float64
+        routes = {sph.EvalMethod.HYPERGEOMETRIC_STABLE: (0.3 + 1j, 1.0),
+                  sph.EvalMethod.INTEGRAL_QUADRATURE: (0.3 + 160j, 1.4),
+                  sph.EvalMethod.ASYMPTOTIC: (0.8, 30.0)}
+        for method, (s, r) in routes.items():
+            value = sph.phi(SO13, s, r)
+            assert value.method is method
+            assert type(value.value) is complex, method
+        assert type(sph.multiplier_l1_norm(2, 0.3 + 1j)) is float
+
     def test_constant_at_corner(self):
         # b-parameter of the hypergeometric vanishes at s = m/2
         for group in (SO12, SO13, F4):
@@ -621,6 +633,14 @@ class TestMultiplierL1Norm:
                 s = complex(sigma, t)
                 assert rel(sph.multiplier_l1_norm(m, s), sph.cb_norm_lorentz(m, s)) < 1e-10
 
+    def test_error_payload_is_in_norm_units(self):
+        # the estimate was the raw moment, 4.2e-17, against a norm of 1.09
+        s = 0.3 + 14j
+        with pytest.raises(ConvergenceError) as excinfo:
+            sph.multiplier_l1_norm(3, s)
+        assert rel(excinfo.value.best_estimate, sph.cb_norm_lorentz(3, s)) < 1e-6
+        assert 1e-8 < excinfo.value.achieved_error < 1e-6
+
     def test_too_slow_decay_is_convergence_error(self):
         # the coarsest grid would need about 2e8 panels
         with pytest.raises(ConvergenceError):
@@ -669,8 +689,8 @@ class TestPhiOnNA:
         # Levels 1e-12 apart cannot meet a 1e-17 tolerance, whatever the
         # rounding of the integrand (which may also make them agree exactly).
         s = 0.2 + 0.5j
-        composite = sph.composite
-        monkeypatch.setattr(sph, "composite",
+        composite = specfun.composite
+        monkeypatch.setattr(specfun, "composite",
                             lambda f, edges: composite(f, edges) * (1.0 + 1e-12 * len(edges)))
         with pytest.raises(ConvergenceError) as excinfo:
             sph.phi_on_na(1, s, 0.7, 0.4, QuadratureSpec(relative_tolerance=1e-17))
