@@ -94,8 +94,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             if default is not None and value is not None:
                 value = type(default)(value)
             setattr(config, f.name, value)
-    if not (math.isfinite(config.tol) and config.tol > 0):
-        raise DomainError("tolerance must be finite and positive")
     return config
 
 
@@ -142,6 +140,8 @@ def cmd_eval(config: RunConfig) -> int:
     from . import spherical
     from .quadrature import QuadratureSpec
 
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise DomainError("tolerance must be finite and positive")
     config.format = config.format or "text"
     group = groups.params_for(config.family, config.n)
     s = complex(config.sigma, config.t)

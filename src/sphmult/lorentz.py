@@ -264,7 +264,7 @@ def fhat_check(m: int, s, y_norm: float,
             break
         x_max *= 2.0
     edges = oscillation_edges(0.0, x_max, y, base_width=1.0)
-    body = composite(lambda x: f(x) * np.cos(y * x), edges)
+    body = composite(lambda x: f(x) * np.cos(y * x), edges)[0]
     sin_xy, cos_xy = math.sin(y * x_max), math.cos(y * x_max)
     tail = (
         -f(x_max) * sin_xy / y

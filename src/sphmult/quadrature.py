@@ -1,14 +1,14 @@
-"""Adaptive Gauss-Legendre quadrature.
+"""Gauss-Legendre quadrature on 15-point panels.
 
-A single engine backs every numerical integral in the package but the K_nu
-kernel (a trapezoidal rule, in ``specfun``): 15-point
-Gauss-Legendre panels refined by bisection, with the per-panel error taken
-as the difference between a panel estimate and the sum of its two halves.
-The integrand is called once to seed (eight panels and their sixteen
-halves, 360 nodes) and once per bisection (the four new quarter panels,
-60 nodes); the two children reuse the parent's halves as their coarse
-estimates.  Semi-infinite domains are truncated from a caller-declared
-exponential decay envelope; the truncation point is pushed out by
+Every numerical integral in the package but the K_nu kernel (a trapezoid
+rule, in ``specfun``) runs on 15-point panels.  ``composite`` sums fixed
+panels and estimates its error from the degree-7 rule embedded in their
+nodes.  ``integrate`` bisects panels adaptively, with the per-panel error
+taken as the difference between a panel estimate and the sum of its two
+halves.  It calls the integrand once to seed (eight panels and their
+sixteen halves, 360 nodes) and once per bisection (the four new quarter
+panels, 60 nodes).  Semi-infinite domains are truncated from a
+caller-declared exponential decay envelope, pushed out by
 ``truncation_margin`` so the discarded tail sits safely below the
 absolute tolerance.
 """
@@ -65,6 +65,16 @@ np = _numpy(__name__)
 def _gauss_legendre():
     """The 15-point Gauss-Legendre nodes and weights on [-1, 1]."""
     return np.polynomial.legendre.leggauss(15)
+
+
+@functools.cache
+def _embedded_weights():
+    """The interpolatory rule on the 8 even-index nodes of the 15-point rule
+    (degree 7, all weights positive), with weight 0 on the odd-index nodes."""
+    nodes, k, weights = _gauss_legendre()[0], np.arange(8), np.zeros(15)
+    weights[::2] = np.linalg.solve(np.vander(nodes[::2], 8, increasing=True).T,
+                                   (1.0 + (-1.0) ** k) / (k + 1.0))
+    return weights
 
 
 @dataclass(frozen=True)
@@ -213,13 +223,16 @@ def integrate(
 
 def composite(f: Callable, edges: np.ndarray):
     """Non-adaptive composite Gauss-Legendre of a vectorized f over the panel
-    edges: a complex number, or one per row where f returns a stack of rows."""
+    edges and its error estimate, the sum over panels of the half-width times
+    |sum_j (w15_j - w8_j) y_j|, w8 the degree-7 rule embedded on the even
+    nodes: each a number, or one per row where f returns a stack of rows."""
     nodes, weights = _gauss_legendre()
     xs, halves = _panel_nodes(edges)
     ys = np.asarray(f(xs), dtype=complex)
     ys = ys.reshape(ys.shape[:-1] + (len(halves), len(nodes)))
     sums = np.sum(halves * (ys @ weights), axis=-1)
-    return complex(sums) if sums.ndim == 0 else sums
+    errors = np.sum(halves * np.abs(ys @ (weights - _embedded_weights())), axis=-1)
+    return (complex(sums), float(errors)) if sums.ndim == 0 else (sums, errors)
 
 
 def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> complex:

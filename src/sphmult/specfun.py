@@ -23,9 +23,9 @@ side can be used to validate the other:
   ``spherical.phi_on_na``, ``lorentz.coefficient_pairing``) is one
   ``_kernel_integral`` on the grid of ``_kernel_edges``: the kernels
   x^|Re nu| K_nu(x) and the scale of their rounding floor from
-  ``_bessel_k_scaled``, panels in v = log x bisected through
-  ``quadrature.refine``, and ConvergenceError where the floor, integrated,
-  exceeds the tolerance,
+  ``_bessel_k_scaled``, panels in v = log x bisected only where the
+  embedded rule's error estimate misses the tolerance, and
+  ConvergenceError where the floor, integrated, exceeds the tolerance,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
   ``bessel_product_moment`` is its quadrature counterpart.
@@ -48,8 +48,7 @@ from itertools import count
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _numpy, composite, oscillation_edges,
-                         refine)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, oscillation_edges
 
 np = _numpy(__name__)
 
@@ -582,10 +581,11 @@ def _kernel_integral(kernels, weight, edges: np.ndarray, spec: QuadratureSpec, l
     where kernels(vs) gives the two (K, M) pairs of ``_bessel_k_scaled``.
 
     composite() sums the value, its modulus and its rounding floor
-    8 ulps (M1 |K2| + |K1| M2) |scale weight|; ``_kernel_value`` checks the
-    floor.  The panels are bisected up to ``levels`` times until two levels
-    agree (``quadrature.refine``).  The scale enters every node, so the
-    value and a ConvergenceError's estimate and error are in caller units.
+    8 ulps (M1 |K2| + |K1| M2) |scale weight| and estimates the value's
+    error; ``_kernel_value`` checks the floor.  Panels are bisected up to
+    ``levels`` times (none: level 0 unchecked) while the error exceeds
+    relative_tolerance * max(|value|, absolute_tolerance).  The scale enters
+    every node, so a value and a ConvergenceError's payload are in caller units.
     """
 
     def rows(vs):
@@ -595,13 +595,13 @@ def _kernel_integral(kernels, weight, edges: np.ndarray, spec: QuadratureSpec, l
         floor = _BESSEL_ROUNDING_FLOOR * (m1 * np.abs(k2) + np.abs(k1) * m2) * np.abs(w)
         return np.stack([value, np.abs(value), floor])
 
-    def estimate(k):
-        e = edges
-        for _ in range(k):
-            e = np.sort(np.concatenate([e, 0.5 * (e[1:] + e[:-1])]))
-        return _kernel_value(composite(rows, e), spec)
-
-    return complex(refine(estimate, levels, spec, what))
+    for _ in range(levels + 1):
+        sums, errors = composite(rows, edges)
+        value, err = complex(_kernel_value(sums, spec)), float(errors[0])
+        if not levels or err <= spec.relative_tolerance * max(abs(value), spec.absolute_tolerance):
+            return value
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
+    raise ConvergenceError(f"{what} did not converge", best_estimate=value, achieved_error=err)
 
 
 # Most points that share the trapezoid nodes in the batched K_nu kernel:
@@ -775,9 +775,10 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     decay is slow.  This is the independent oracle for
     ``weber_schafheitlin_rhs`` (with power = -rho) and for every L^2 norm
     built on Bessel kernels.  The grid is ``_kernel_edges``', bisected up to
-    three times.  Raises ConvergenceError when the grid would need more
-    than ``spec.max_panels`` panels (a decay at r = 0 too slow for the
-    budget), when three bisections do not settle, and when the K_nu
+    three times while its embedded error estimate misses the tolerance.
+    Raises ConvergenceError when the grid needs more than ``max_panels``
+    panels (a decay at r = 0 too slow for the budget), when three
+    bisections do not meet the tolerance, and when the K_nu
     kernels' rounding floor, 8 ulps (K_a |K_mu| + |K_nu| K_b) integrated
     against r^power, exceeds ``spec.relative_tolerance`` times the integral
     of |integrand|: at large |Im nu|, where |K_nu| ~ e^(-pi |Im nu| / 2) K_a,

@@ -375,15 +375,15 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     transform of the squared-Bessel kernel at y.  Supports m in {1,2,3}
     and s in the open strip.  K_s(x) K_s(e^r x) x^(m-1) times the angular
     factor is integrated by ``specfun._kernel_integral`` on the grid of
-    ``specfun._kernel_edges``, bisected up to twice; it holds up to the
-    strip edge (checked at sig = |Re s| = m/2 - 0.001, where the grid has
-    about 12,000 panels).  Raises ConvergenceError, with the estimate in
-    the units of the value, when two bisections do not settle, when the
-    grid would need more than ``spec.max_panels`` panels (for real s from
-    sig of about m/2 - 0.0006 at the default spec), and when the kernels'
-    rounding floor, integrated, exceeds relative_tolerance times the
-    integral of |integrand| (at large |Im s|: from about 10 at m = 1,
-    r = 0.7).
+    ``specfun._kernel_edges``, bisected up to twice while its embedded error
+    estimate misses the tolerance; it holds up to the strip edge (checked
+    at sig = |Re s| = m/2 - 0.001, where the grid has about 12,000 panels).
+    Raises ConvergenceError, with the estimate in the units of the value,
+    when two bisections do not meet the tolerance, when the grid would
+    need more than ``spec.max_panels`` panels (for real s from sig of about
+    m/2 - 0.0006 at the default spec), and when the kernels' rounding
+    floor, integrated, exceeds relative_tolerance times the integral of
+    |integrand| (at large |Im s|: from about 10 at m = 1, r = 0.7).
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -428,4 +428,4 @@ def cesaro_extract(phi_map, x0: float, n: int) -> complex:
             vals = np.array([complex(phi_map(float(r))) for r in rs], dtype=complex)
         return np.exp(1j * x0 * rs) * vals
 
-    return composite(integrand, edges) / float(n)
+    return composite(integrand, edges)[0] / float(n)

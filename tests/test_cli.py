@@ -409,6 +409,17 @@ class TestConfig:
         assert run(capsys, "norm-table", "--config", str(cfg))[0] == 0
         assert run(capsys, "tree", "--config", str(cfg))[0] == 0
 
+    def test_config_tol_is_checked_by_eval_alone(self, capsys, tmp_path):
+        # {"tol": 0} made tree and norm-table exit 2, though they never read it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 0, "n": 3, "sigma_range": "0:0:1",
+                                   "t_range": "0:0:1", "radius": 2}))
+        assert run(capsys, "norm-table", "--config", str(cfg))[0] == 0
+        assert run(capsys, "tree", "--config", str(cfg))[0] == 0
+        code, out, err = run(capsys, "eval", "--family", "so0", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance must be finite and positive\n"
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

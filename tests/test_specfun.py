@@ -12,7 +12,8 @@ import pytest
 from sphmult import groups, spherical
 from sphmult import specfun as sf
 from sphmult.errors import ConvergenceError, DomainError, PoleError, SphmultError
-from sphmult.quadrature import QuadratureSpec, _gauss_legendre, integrate
+from sphmult.quadrature import (QuadratureSpec, _embedded_weights, _gauss_legendre, composite,
+                                integrate)
 
 try:
     import mpmath
@@ -688,3 +689,93 @@ class TestIntegrate:
         # since nan <= 0 and total_err > nan are both False
         with pytest.raises(DomainError):
             QuadratureSpec(**{field: value})
+
+
+class TestEmbeddedRule:
+    def test_degree_seven_on_the_even_nodes(self):
+        weights = _embedded_weights()
+        assert np.all(weights[1::2] == 0.0) and np.all(weights[::2] > 0.0)
+        for k in range(8):
+            assert abs(np.dot(weights, _GL_NODES**k) - (1 + (-1) ** k) / (k + 1)) < 1e-15
+        assert abs(np.dot(weights, _GL_NODES**8) - 2 / 9) > 1e-5
+
+    def test_error_is_the_rules_difference(self):
+        # one panel [0, 2]: the two rules on exp differ by about 1e-8
+        sums, errors = composite(np.exp, np.array([0.0, 2.0]))
+        embedded = np.dot(_embedded_weights(), np.exp(1.0 + _GL_NODES))
+        assert rel(sums, math.e**2 - 1.0) < 1e-15
+        assert rel(errors, abs(sums - embedded)) < 1e-6
+        assert 1e-10 < errors < 1e-6
+        # exact for degree 7: rounding only
+        sums, errors = composite(lambda x: x**7 - x**2, np.linspace(-1.0, 3.0, 5))
+        assert errors < 1e-14 * abs(sums)
+
+
+def kernel_points(monkeypatch, module, call):
+    """The number of points of each ``_bessel_k_scaled`` call, as seen by
+    ``module``, while ``call`` runs."""
+    points = []
+    scaled = sf._bessel_k_scaled
+
+    def counted(nu, vs, spec):
+        points.append(vs.size)
+        return scaled(nu, vs, spec)
+
+    monkeypatch.setattr(module, "_bessel_k_scaled", counted)
+    call()
+    return points
+
+
+class TestKernelIntegralLevels:
+    # (module of the kernels' caller, call, _kernel_edges arguments, kernel calls)
+    LEVEL_ZERO = [
+        (sf, lambda: sf.bessel_product_moment(0.1, 0.2, 0), (0.1, 0.2, 0.0, 0.0, 0.0), 2),
+        (sf, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j),
+         (0.3 + 1j, 0.3 - 1j, 1.0, 0.0, 0.0), 1),
+        (spherical, lambda: spherical.phi_on_na(1, 0.2 + 0.5j, 0.7, 0),
+         (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.0), 2),
+    ]
+
+    @pytest.mark.parametrize("module, call, grid, kernels", LEVEL_ZERO,
+                             ids=["moment", "l1_norm", "phi_on_na"])
+    def test_kernels_run_on_level_zero_only(self, monkeypatch, module, call, grid, kernels):
+        # the confirming bisection evaluated both kernels on twice the panels
+        nu, mu, power, shift, lam = grid
+        edges = sf._kernel_edges(complex(nu), complex(mu), complex(power), shift, lam,
+                                 QuadratureSpec())
+        assert kernel_points(monkeypatch, module, call) == [15 * (len(edges) - 1)] * kernels
+
+    def test_missed_estimate_bisects(self, monkeypatch):
+        # level 0's embedded estimate is about 2e-8 of the norm here
+        s = 0.2 + 0.3j
+        panels = []
+        original = sf.composite
+
+        def counted(f, edges):
+            panels.append(len(edges) - 1)
+            return original(f, edges)
+
+        monkeypatch.setattr(sf, "composite", counted)
+        value = spherical.multiplier_l1_norm(3, s)
+        assert panels == [panels[0], 2 * panels[0]]
+        assert rel(value, spherical.cb_norm_lorentz(3, s)) < 1e-8
+
+    def test_exhausted_refinement_raises_in_caller_units(self, monkeypatch):
+        # an estimate inflated to 1e-6 of the value fails all four levels;
+        # the error carries the norm's units, not the raw moment's
+        s = 0.3 + 1j
+        panels = []
+        original = sf.composite
+
+        def inflated(f, edges):
+            panels.append(len(edges) - 1)
+            sums, errors = original(f, edges)
+            return sums, errors + 1e-6 * np.abs(sums)
+
+        monkeypatch.setattr(sf, "composite", inflated)
+        with pytest.raises(ConvergenceError, match="did not converge") as excinfo:
+            spherical.multiplier_l1_norm(2, s)
+        assert panels == [panels[0] * 2**k for k in range(4)]
+        norm = spherical.cb_norm_lorentz(2, s)
+        assert rel(excinfo.value.best_estimate, norm) < 1e-8
+        assert 1e-6 * norm < excinfo.value.achieved_error < 2e-6 * norm

@@ -686,15 +686,25 @@ class TestPhiOnNA:
         assert abs(val) < 1e-3
 
     def test_unconverged_refinement_raises(self, monkeypatch):
-        # Levels 1e-12 apart cannot meet a 1e-17 tolerance, whatever the
-        # rounding of the integrand (which may also make them agree exactly).
+        # An error estimate of at least 1e-12 of the value cannot meet a
+        # 1e-13 tolerance, whatever the rounding of the integrand, while the
+        # rounding floor does (at 1e-17 the floor check raised at level 0).
+        # The patch must reach the integral: level 0 and both bisections.
         s = 0.2 + 0.5j
         composite = specfun.composite
-        monkeypatch.setattr(specfun, "composite",
-                            lambda f, edges: composite(f, edges) * (1.0 + 1e-12 * len(edges)))
+        levels = []
+
+        def inflated(f, edges):
+            levels.append(len(edges) - 1)
+            sums, errors = composite(f, edges)
+            return sums, errors + 1e-12 * np.abs(sums)
+
+        monkeypatch.setattr(specfun, "composite", inflated)
         with pytest.raises(ConvergenceError) as excinfo:
-            sph.phi_on_na(1, s, 0.7, 0.4, QuadratureSpec(relative_tolerance=1e-17))
+            sph.phi_on_na(1, s, 0.7, 0.4, QuadratureSpec(relative_tolerance=1e-13))
         monkeypatch.undo()
+        assert "did not converge" in str(excinfo.value)
+        assert levels == [levels[0], 2 * levels[0], 4 * levels[0]]
         # the estimate carries the prefactor, like a returned value
         assert rel(excinfo.value.best_estimate, sph.phi_on_na(1, s, 0.7, 0.4)) < 1e-6
         assert excinfo.value.achieved_error < 1e-6
