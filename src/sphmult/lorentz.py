@@ -216,8 +216,7 @@ def phi_via_rho(n: int, s, g: LorentzMatrix,
 # Fourier transform of the sphere vector (the K-Bessel identity check).
 
 
-def fhat_check(m: int, s, y_norm: float,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[complex, complex]:
+def fhat_check(m: int, s, y_norm: float) -> tuple[complex, complex]:
     """Two independent evaluations of the transformed kernel vector.
 
     Returns the pair (direct Fourier quadrature of
@@ -275,7 +274,7 @@ def fhat_check(m: int, s, y_norm: float,
     direct = c1 / math.sqrt(2.0 * math.pi) * 2.0 * (body + tail)
 
     closed = (c1 * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc) * (y / 2.0) ** sc
-              * complex(bessel_k_many(sc, [y], spec)[0]))
+              * complex(bessel_k_many(sc, [y])[0]))
     return direct, closed
 
 
@@ -306,8 +305,8 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc_neg_conj)
 
     def kernels(vs):
-        right, right_mass = _bessel_k_scaled(sc_neg_conj, vs, spec)
-        return _bessel_k_scaled(sc, vs + r, spec), (np.conjugate(right), right_mass)
+        right, right_mass = _bessel_k_scaled(sc_neg_conj, vs)
+        return _bessel_k_scaled(sc, vs + r), (np.conjugate(right), right_mass)
 
     def weight(vs):
         return np.cos(lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)

@@ -7,10 +7,7 @@ nodes.  ``integrate`` bisects panels adaptively, with the per-panel error
 taken as the difference between a panel estimate and the sum of its two
 halves.  It calls the integrand once to seed (eight panels and their
 sixteen halves, 360 nodes) and once per bisection (the four new quarter
-panels, 60 nodes).  Semi-infinite domains are truncated from a
-caller-declared exponential decay envelope, pushed out by
-``truncation_margin`` so the discarded tail sits safely below the
-absolute tolerance.
+panels, 60 nodes).
 """
 
 from __future__ import annotations
@@ -77,6 +74,11 @@ def _embedded_weights():
     return weights
 
 
+# e-folds by which every truncated tail is pushed out past its cut, so that
+# the discarded tail sits safely below the tolerance it is cut at.
+_TRUNCATION_MARGIN = 5.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budget for a numerical integral."""
@@ -84,7 +86,6 @@ class QuadratureSpec:
     relative_tolerance: float = 1e-8
     absolute_tolerance: float = 1e-14
     max_panels: int = 20000
-    truncation_margin: float = 5.0
 
     def __post_init__(self):
         # nan <= 0 is False, so finiteness is checked first: a NaN or
@@ -94,24 +95,15 @@ class QuadratureSpec:
             raise DomainError("quadrature tolerances must be finite and positive")
         if self.max_panels < 1:
             raise DomainError("max_panels must be at least 1")
-        if not math.isfinite(self.truncation_margin):
-            raise DomainError("truncation_margin must be finite")
 
     @property
     def truncation_depth(self) -> float:
         """e-folds of decay after which a tail is dropped: -log(absolute
-        tolerance) plus the truncation margin."""
-        return -math.log(self.absolute_tolerance) + self.truncation_margin
+        tolerance) plus a margin of 5."""
+        return -math.log(self.absolute_tolerance) + _TRUNCATION_MARGIN
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def _as_vectorized(f: Callable) -> Callable:
-    def wrapped(xs):
-        return np.array([complex(f(float(x))) for x in xs], dtype=complex)
-
-    return wrapped
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,42 +127,29 @@ def _estimates(f: Callable, *edge_runs: np.ndarray) -> list:
     return [h * np.dot(weights, y) for h, y in zip(halves, ys)]
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    decay_rate: float | None = None,
-    vectorized: bool = False,
-) -> complex:
-    """Integrate ``f`` over [a, b] to the tolerances in ``spec``.
-
-    ``b`` may be ``math.inf``, in which case ``decay_rate`` must give a
-    rate lambda such that |f(x)| decays at least like exp(-lambda*x); the
-    domain is then truncated where that envelope falls below the absolute
-    tolerance.  Set ``vectorized=True`` when ``f`` accepts numpy arrays.
+def integrate(f: Callable, a: float, b: float,
+              spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+    """Integrate ``f``, which maps a numpy array of nodes to their values,
+    over the finite interval [a, b] to the tolerances in ``spec``; a > b
+    gives minus the integral over [b, a].
 
     ``f`` is called 1 + R times for R bisections: once on the 360 nodes
     of the eight seed panels and their halves, then once on the 60 nodes
     of the four quarter panels of each bisected panel, whose halves
     become the children's coarse estimates.
 
-    Raises ConvergenceError (with the best estimate attached) when the
-    panel budget runs out before the error estimate meets the tolerance.
+    Raises DomainError at an endpoint that is not finite, and
+    ConvergenceError (with the best estimate attached) when the panel
+    budget runs out before the error estimate meets the tolerance.
     """
-    if not vectorized:
-        f = _as_vectorized(f)
-    if math.isinf(b):
-        if decay_rate is None or decay_rate <= 0:
-            raise DomainError(
-                "semi-infinite integration requires a positive decay_rate envelope"
-            )
-        b = a + spec.truncation_depth / decay_rate
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration endpoints must be finite after truncation")
+        raise DomainError("integration endpoints must be finite")
     if a == b:
         return 0.0 + 0.0j
+    # min_width below, the refinement floor, assumes a < b
+    flip = a > b
+    if flip:
+        a, b = b, a
 
     # Seed with a handful of panels so a feature missed by one coarse
     # panel cannot fool the global error estimate.
@@ -205,7 +184,7 @@ def integrate(
         if n_panels >= spec.max_panels:
             raise ConvergenceError(
                 "quadrature panel budget exhausted",
-                best_estimate=total,
+                best_estimate=-total if flip else total,
                 achieved_error=total_err,
             )
         neg_err, _, lo, hi, fine, left, right = heapq.heappop(heap)
@@ -218,7 +197,7 @@ def integrate(
         push(lo, mid, left, *quarters[:2])
         push(mid, hi, right, *quarters[2:])
 
-    return complex(total)
+    return complex(-total if flip else total)
 
 
 def composite(f: Callable, edges: np.ndarray):
@@ -238,11 +217,8 @@ def composite(f: Callable, edges: np.ndarray):
 def refine(estimate: Callable, levels: int, spec: QuadratureSpec, what: str) -> complex:
     """estimate(k) for the first k in 1..levels within relative_tolerance *
     max(|estimate(k)|, absolute_tolerance) of estimate(k - 1); otherwise
-    ConvergenceError with the last estimate and difference.  With no levels,
-    estimate(0) unchecked."""
+    ConvergenceError with the last estimate and difference; levels >= 1."""
     value = estimate(0)
-    if not levels:
-        return value
     for k in range(1, levels + 1):
         finer = estimate(k)
         err = abs(value - finer)

@@ -48,7 +48,8 @@ from itertools import count
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, oscillation_edges
+from .quadrature import (_TRUNCATION_MARGIN, DEFAULT_SPEC, QuadratureSpec, _numpy, composite,
+                         oscillation_edges)
 
 np = _numpy(__name__)
 
@@ -506,8 +507,7 @@ def _bessel_small_scaled(nu: complex, vs: np.ndarray) -> np.ndarray:
     return 0.5 * (first + np.where(keep, second, 0.0))
 
 
-def _bessel_k_scaled(nu: complex, vs: np.ndarray,
-                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _bessel_k_scaled(nu: complex, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r^sigma K_nu(r) and r^sigma K_sigma(r), sigma = |Re nu|, at r = e^v for
     every v: the small-x form in v below _BESSEL_SMALL_X, the K_nu kernel
     above it.  The second array is the scale of the first one's rounding
@@ -520,7 +520,7 @@ def _bessel_k_scaled(nu: complex, vs: np.ndarray,
         mass[small] = _bessel_small_scaled(complex(abs(nu.real)), vs[small]).real
     rest = vs[~small]
     scale = np.exp(abs(nu.real) * rest)
-    k, k_sigma = _bessel_k_array(nu, np.exp(rest), spec)
+    k, k_sigma = _bessel_k_array(nu, np.exp(rest))
     out[~small] = k * scale
     mass[~small] = k_sigma * scale
     return out, mass
@@ -638,8 +638,7 @@ def _bessel_sums(nu: complex, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.exp(kernel, out=kernel) @ columns
 
 
-def _bessel_k_array(nu: complex, xs: np.ndarray,
-                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _bessel_k_array(nu: complex, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one K_nu kernel behind ``bessel_k`` and ``bessel_k_many``: K_nu(x)
     and K_sigma(x), sigma = |Re nu|, which bounds the integrand's L1 mass."""
     if not np.all(xs > 0):
@@ -659,10 +658,10 @@ def _bessel_k_array(nu: complex, xs: np.ndarray,
     rest = xs[~small]
     # Cut each integral at the T where x cosh T - sigma T exceeds its value
     # at the envelope's peak, t = asinh(sigma / x), by 40 e-folds (~4e-18)
-    # plus the spec's margin.  Started below the peak (target < 0 at small
-    # x, large sigma), the iteration would stay at 0.
+    # plus the truncation margin.  Started below the peak (target < 0 at
+    # small x, large sigma), the iteration would stay at 0.
     t_peak = np.arcsinh(sigma / rest)
-    target = rest * np.cosh(t_peak) - sigma * t_peak + 40.0 + spec.truncation_margin
+    target = rest * np.cosh(t_peak) - sigma * t_peak + 40.0 + _TRUNCATION_MARGIN
     cuts = np.maximum(np.arccosh(np.maximum(1.0, target / rest)), t_peak)
     for _ in range(4):
         cuts = np.arccosh(np.maximum(1.0, (target + sigma * cuts) / rest))
@@ -673,49 +672,56 @@ def _bessel_k_array(nu: complex, xs: np.ndarray,
     # nodes.  The sums are scaled by e^x, so that nothing underflows.
     order = np.lexsort((rest, cuts))
     sums = np.empty((rest.size, 3))
-    for start in range(0, len(order), _BESSEL_RUN):
-        open_ = order[start:start + _BESSEL_RUN]
-        xs_open = rest[open_]
-        h = _bessel_step(nu, float(xs_open.max()))
-        n = max(1, math.ceil(cuts[open_[-1]] / h))
-        est = h * _bessel_sums(nu, xs_open, h * np.arange(n + 1.0))
-        # Each point stops on its own rule; only open points are refined.
-        for _ in range(3):
-            h, n = 0.5 * h, 2 * n
-            finer = 0.5 * est + h * _bessel_sums(nu, xs_open, h * np.arange(1.0, n, 2.0))
-            err = np.hypot(finer[:, 0] - est[:, 0], finer[:, 1] - est[:, 1])
-            done = err <= SPECIAL_RTOL * np.hypot(finer[:, 0], finer[:, 1])
-            sums[open_[done]] = finer[done]
-            open_, xs_open, est, err = open_[~done], xs_open[~done], finer[~done], err[~done]
-            if not open_.size:
-                break
-        # Near a zero of K_nu the value is far below the integrand's L1 mass,
-        # which K_sigma(x) bounds since |cosh(nu t)| <= cosh(sigma t); the
-        # halvings then agree only to rounding noise of that mass.
-        ok = err <= _BESSEL_ROUNDING_FLOOR * est[:, 2]
-        if not ok.all():
-            i = int(np.argmin(ok))
-            scale = math.exp(-xs_open[i])
-            raise ConvergenceError("bessel_k quadrature did not converge",
-                                   best_estimate=complex(est[i, 0], est[i, 1]) * scale,
-                                   achieved_error=float(err[i]) * scale)
-        sums[open_] = est
+    # cosh(sigma t) leaves the float range where sigma t > 710: the sums are
+    # then not finite and fail the stopping rules below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(order), _BESSEL_RUN):
+            open_ = order[start:start + _BESSEL_RUN]
+            xs_open = rest[open_]
+            h = _bessel_step(nu, float(xs_open.max()))
+            n = max(1, math.ceil(cuts[open_[-1]] / h))
+            est = h * _bessel_sums(nu, xs_open, h * np.arange(n + 1.0))
+            # Each point stops on its own rule; only open points are refined.
+            for _ in range(3):
+                h, n = 0.5 * h, 2 * n
+                finer = 0.5 * est + h * _bessel_sums(nu, xs_open, h * np.arange(1.0, n, 2.0))
+                err = np.hypot(finer[:, 0] - est[:, 0], finer[:, 1] - est[:, 1])
+                done = err <= SPECIAL_RTOL * np.hypot(finer[:, 0], finer[:, 1])
+                sums[open_[done]] = finer[done]
+                open_, xs_open, est, err = open_[~done], xs_open[~done], finer[~done], err[~done]
+                if not open_.size:
+                    break
+            # Near a zero of K_nu the value is far below the integrand's L1 mass,
+            # which K_sigma(x) bounds since |cosh(nu t)| <= cosh(sigma t); the
+            # halvings then agree only to rounding noise of that mass.
+            ok = err <= _BESSEL_ROUNDING_FLOOR * est[:, 2]
+            if not ok.all():
+                i = int(np.argmin(ok))
+                if not np.isfinite(est[i]).all():
+                    raise ConvergenceError(
+                        f"bessel_k integrand cosh(nu t) exp(-x cosh t) is beyond the float "
+                        f"range at nu={nu}, x={xs_open[i]}")
+                scale = math.exp(-xs_open[i])
+                raise ConvergenceError("bessel_k quadrature did not converge",
+                                       best_estimate=complex(est[i, 0], est[i, 1]) * scale,
+                                       achieved_error=float(err[i]) * scale)
+            sums[open_] = est
     scale = np.exp(-rest)
     out[~small] = (sums[:, 0] + 1j * sums[:, 1]) * scale
     masses[~small] = sums[:, 2] * scale
     return out, masses
 
 
-def bessel_k(nu: complex, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def bessel_k(nu: complex, x: float) -> complex:
     """K_nu(x) for x > 0 and complex order nu, from the cosh integral.
 
     The one-point case of ``bessel_k_many``.  The integrand
     exp(-x cosh t) cosh(nu t) is even in t and analytic in |Im t| < pi/2,
     so the trapezoidal rule on [0, T], t = 0 at half weight, converges
-    geometrically.  T leaves the discarded tail about 40 e-folds below the
-    integrand's peak, pushed out by the spec's margin.  The first step
-    2^-p resolves both the oscillation of cos(t Im nu) and the peak's
-    curvature; each of up to three halvings adds only the new odd nodes.
+    geometrically.  T leaves the discarded tail 45 e-folds below the
+    integrand's peak.  The first step 2^-p resolves both the oscillation
+    of cos(t Im nu) and the peak's curvature; each of up to three halvings
+    adds only the new odd nodes.
     Symmetry in nu and conjugation symmetry hold by construction.
 
     The result is returned once two levels agree to 1e-12 relative, or,
@@ -725,13 +731,15 @@ def bessel_k(nu: complex, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> comp
     |K_nu| ~ e^(-pi |Im nu| / 2) K_sigma: the error is at most
     max(1e-12 |K_nu(x)|, 8 ulps K_sigma(x)), and the relative accuracy is
     limited by the conditioning K_sigma(x) / |K_nu(x)|.  Raises
-    ConvergenceError when neither rule holds.
+    ConvergenceError when neither rule holds, and where cosh(sigma t) leaves
+    the float range before T, sigma T > 710: at large sigma and small x,
+    K_40 below x of about 6e-6 and K_100 below about 0.4, although K_nu(x)
+    itself is finite there.
     """
-    return complex(_bessel_k_array(complex(nu), np.array([float(x)]), spec)[0][0])
+    return complex(_bessel_k_array(complex(nu), np.array([float(x)]))[0][0])
 
 
-def bessel_k_many(nu: complex, xs: Sequence[float],
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def bessel_k_many(nu: complex, xs: Sequence[float]) -> np.ndarray:
     """Vector of K_nu over positive abscissas, with the rules of ``bessel_k``.
 
     Abscissas below 1e-8 take the small-x closed form, within 3e-15
@@ -746,7 +754,7 @@ def bessel_k_many(nu: complex, xs: Sequence[float],
     DomainError when any abscissa is not positive, and ConvergenceError
     when a value is beyond the float range.
     """
-    return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float), spec)[0]
+    return _bessel_k_array(complex(nu), np.asarray(xs, dtype=float))[0]
 
 
 def weber_schafheitlin_rhs(nu: complex, mu: complex, rho: complex) -> complex:
@@ -794,8 +802,8 @@ def _product_moment(nu: complex, mu: complex, power: complex, spec: QuadratureSp
     exponent = power + 1.0 - abs(nu.real) - abs(mu.real)
 
     def kernels(vs):
-        k1, m1 = _bessel_k_scaled(nu, vs, spec)
-        second = (np.conjugate(k1), m1) if mu == nu.conjugate() else _bessel_k_scaled(mu, vs, spec)
+        k1, m1 = _bessel_k_scaled(nu, vs)
+        second = (np.conjugate(k1), m1) if mu == nu.conjugate() else _bessel_k_scaled(mu, vs)
         return (k1, m1), second
 
     return _kernel_integral(kernels, lambda vs: np.exp(exponent * vs),

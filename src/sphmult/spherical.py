@@ -154,7 +154,7 @@ def phi_lorentz_integral(m: int, s, r: float,
     with the integrand formed from logaddexp and scaled by e^(-(s - m/2) r)
     so that it is O(1) near v = r.  Its tails decay like e^(-m|v|) outside
     [0, r], so the domain is cut to [-D/m, r + D/m] with D = -log(absolute
-    tolerance) + truncation margin.  At the default tolerances it agrees
+    tolerance) + 5.  At the default tolerances it agrees
     with mpmath to 2e-11 relative for m in {1..6, 8, 12, 16}, r in [0, 25]
     and s in {0, 1e-9, 0.3, 1, 2, 0.45+0.2i, 1.5i, 0.7-2i}, and to 1e-11
     at r = 30, 40, 60 and 100 while the value is in the float range.
@@ -175,7 +175,7 @@ def phi_lorentz_integral(m: int, s, r: float,
     depth = spec.truncation_depth / m
     const = gamma_ratio(((m + 1) / 2.0,), (m / 2.0,)).real / math.sqrt(math.pi)
     scale = const * 2.0 ** m * cmath.exp(lo_expo * rr)
-    return scale * integrate(integrand, -depth, rr + depth, spec, vectorized=True)
+    return scale * integrate(integrand, -depth, rr + depth, spec)
 
 
 def phi_lorentz_hyp2(m: int, s, r: float) -> complex:
@@ -290,8 +290,7 @@ def _c_m(m: int) -> float:
     return _SPHERE_CONST_CACHE[m]
 
 
-def bessel_vector(m: int, s, x_norm: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def bessel_vector(m: int, s, x_norm: float) -> complex:
     """Radial profile of the L^2(R^m) vector whose matrix coefficients
     realize phi_s on the solvable part:
 
@@ -302,7 +301,7 @@ def bessel_vector(m: int, s, x_norm: float,
     sc = _open_strip(m, s, "bessel_vector")
     if x_norm <= 0:
         raise DomainError("bessel_vector requires x_norm > 0")
-    return _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc) * bessel_k(sc, x_norm, spec)
+    return _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc) * bessel_k(sc, x_norm)
 
 
 def bessel_vector_norm_sq(m: int, s) -> float:
@@ -330,8 +329,9 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     sinks toward the K_nu kernel's rounding floor, 8 ulps of K_sigma, as
     |Im s| grows: the moment integral (``bessel_product_moment``'s) raises
     ConvergenceError, with its estimate in the units of the norm, once that
-    floor, integrated, exceeds the tolerance (from |Im s| of about 13.5 at
-    m = 3, within 0.1 s), and beyond |Im s| = 64 it raises at once.
+    floor, integrated, exceeds the tolerance (at m = 3 and sigma = 0.3 from
+    |Im s| = 13.24 on, where it is 2e-12 off the cb norm just before), and
+    beyond |Im s| = 64 it raises at once.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
     if abs(sc.imag) > _L1_NORM_MAX_T:
@@ -383,7 +383,8 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     need more than ``spec.max_panels`` panels (for real s from sig of about
     m/2 - 0.0006 at the default spec), and when the kernels' rounding
     floor, integrated, exceeds relative_tolerance times the integral of
-    |integrand| (at large |Im s|: from about 10 at m = 1, r = 0.7).
+    |integrand| (at large |Im s|: at m = 1, sigma = 0.3, r = 0.7 and y = 0 at
+    scattered points of [7.71, 8.54] and from about 9.9 on).
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -394,7 +395,7 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     sigma = abs(sc.real)
 
     def kernels(vs):
-        return _bessel_k_scaled(sc, vs, spec), _bessel_k_scaled(sc, vs + r, spec)
+        return _bessel_k_scaled(sc, vs), _bessel_k_scaled(sc, vs + r)
 
     def weight(vs):
         # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
@@ -411,7 +412,7 @@ def cesaro_extract(phi_map, x0: float, n: int) -> complex:
 
     Recovers the mass a regular measure puts at x0 from its transform
     phi, in the limit n -> infinity; finite n gives an O(1/n) estimate.
-    The sampled map may be scalar or vectorized.
+    ``phi_map`` is called once, on the array of quadrature nodes.
     """
     if n < 1:
         raise DomainError("cesaro_extract requires n >= 1")
@@ -420,12 +421,6 @@ def cesaro_extract(phi_map, x0: float, n: int) -> complex:
     edges = np.linspace(lo, hi, n_panels + 1)
 
     def integrand(rs):
-        try:
-            vals = np.asarray(phi_map(rs), dtype=complex)
-            if vals.shape != rs.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([complex(phi_map(float(r))) for r in rs], dtype=complex)
-        return np.exp(1j * x0 * rs) * vals
+        return np.exp(1j * x0 * rs) * np.asarray(phi_map(rs), dtype=complex)
 
     return composite(integrand, edges)[0] / float(n)

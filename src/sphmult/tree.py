@@ -252,19 +252,16 @@ def _shell_counts(spec: FreeProductSpec, i: int, k: int) -> dict[int, int]:
     return {i + k - 2 * p: at_least[p] - at_least[p + 1] for p in range(top + 1)}
 
 
-def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec,
-                    cap: int = DEFAULT_SPHERE_CAP) -> RadialFn:
+def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec) -> RadialFn:
     """Convolution of the induced functions, computed per shell.
 
     (f * g)(z) = sum_x f(x) g(x^-1 z) depends only on |z| = k: it is the
     sum over i, j of f(i) g(j) #{x in E_i : |x^-1 z| = j}, with these
     structure constants in closed form.  Exact (integer / Fraction)
-    inputs stay exact.  The cap bounds E_i over the support of f.
+    inputs stay exact.
     """
     if not f.shells or not g.shells:
         return RadialFn.from_dict({})
-    if sphere_size(spec, max(f.max_shell, 1)) > cap:
-        raise CapacityError("convolution support exceeds the enumeration cap")
     out = {}
     for k in range(f.max_shell + g.max_shell + 1):
         total = 0
@@ -370,9 +367,7 @@ def pairing_radial(spec: FreeProductSpec, f: RadialFn, phi: RadialFn):
     return total
 
 
-def multiplicative_shell_function(spec: FreeProductSpec, alpha,
-                                  max_shell: int,
-                                  cap: int = DEFAULT_SPHERE_CAP) -> RadialFn:
+def multiplicative_shell_function(spec: FreeProductSpec, alpha, max_shell: int) -> RadialFn:
     """Shell function making f -> <f, phi> multiplicative on radial f.
 
     phi(0) = 1, phi(1) = alpha, and <chi_1 * chi_n, phi> =
@@ -381,8 +376,6 @@ def multiplicative_shell_function(spec: FreeProductSpec, alpha,
     u_(n+1) = u_1 u_n - |E_n| phi(n-1).  A Fraction alpha stays exact.
     """
     values = {0: Fraction(1) if isinstance(alpha, Rational) else 1.0, 1: alpha}
-    if max_shell > 1 and sphere_size(spec, 1) > cap:
-        raise CapacityError("convolution support exceeds the enumeration cap")
     u1 = sphere_size(spec, 1) * alpha
     for n in range(1, max_shell):
         un = sphere_size(spec, n) * values[n]

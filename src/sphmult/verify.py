@@ -88,13 +88,10 @@ def _check_gamma_reflection(gam) -> float:
 
 
 def _check_beta_integral(_gam) -> float:
-    spec = QuadratureSpec(1e-10, 1e-15, 40000, 5.0)
+    spec = QuadratureSpec(1e-10, 1e-15, 40000)
     worst = 0.0
     for a, b in ((1.3 + 0.4j, 2.2), (1.0, 1.0), (0.9, 1.7 - 0.3j)):
-        oracle = integrate(
-            lambda t: t ** (a - 1) * (1 - t) ** (b - 1), 0.0, 1.0, spec,
-            vectorized=True,
-        )
+        oracle = integrate(lambda t: t ** (a - 1) * (1 - t) ** (b - 1), 0.0, 1.0, spec)
         worst = max(worst, _rel(specfun.beta(a, b), oracle))
     return worst
 
@@ -173,7 +170,7 @@ def _check_weber_schafheitlin(_gam) -> float:
 
 def _check_triple_agreement(_gam) -> float:
     worst = 0.0
-    spec = QuadratureSpec(1e-10, 1e-16, 40000, 5.0)
+    spec = QuadratureSpec(1e-10, 1e-16, 40000)
     for m in (1, 2):
         group = groups.params_for("so0", m + 1)
         for s in (0.2 + 0.6j, -0.3 + 1.1j):
@@ -252,14 +249,12 @@ def _check_stereographic_isometry(_gam) -> float:
         )
         return np.abs(h_sphere(pts)) ** 2 * (2.0 / (xs**2 + 1.0))
 
-    spec = QuadratureSpec(1e-10, 1e-14, 40000, 5.0)
-    body = integrate(h_plane, -1.0, 1.0, spec, vectorized=True)
+    spec = QuadratureSpec(1e-10, 1e-14, 40000)
+    body = integrate(h_plane, -1.0, 1.0, spec)
     # |x| > 1 in the inverted chart u = 1/x (the integrand only decays
     # like 1/x^2, so plain truncation would dominate the error).
-    tails = integrate(
-        lambda us: (h_plane(1.0 / us) + h_plane(-1.0 / us)) / us**2,
-        0.0, 1.0, spec, vectorized=True,
-    )
+    tails = integrate(lambda us: (h_plane(1.0 / us) + h_plane(-1.0 / us)) / us**2,
+                      0.0, 1.0, spec)
     rhs = (body + tails) / (2.0 * math.pi)
     return _rel(lhs, rhs)
 

@@ -20,7 +20,7 @@ import numpy as np
 from sphmult import groups, lorentz as lz, specfun as sf, spherical as sph, tree as tr
 from sphmult.quadrature import QuadratureSpec
 
-TIGHT = QuadratureSpec(1e-10, 1e-16, 60000, 5.0)
+TIGHT = QuadratureSpec(1e-10, 1e-16, 60000)
 
 
 def report(number, name, passed, detail):

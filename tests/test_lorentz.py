@@ -9,7 +9,7 @@ from sphmult import groups, lorentz as lz, spherical as sph
 from sphmult.errors import ConvergenceError, DomainError, InvariantError
 from sphmult.quadrature import QuadratureSpec, integrate
 
-TIGHT = QuadratureSpec(1e-10, 1e-15, 60000, 5.0)
+TIGHT = QuadratureSpec(1e-10, 1e-15, 60000)
 
 
 def random_group_element(rng, n=3):
@@ -191,13 +191,12 @@ class TestIsometryTransport:
             )
             return np.abs(h(pts)) ** 2 * (2.0 / (xs**2 + 1.0))
 
-        body = integrate(plane_density, -1.0, 1.0, TIGHT, vectorized=True)
+        body = integrate(plane_density, -1.0, 1.0, TIGHT)
         tails = integrate(
             lambda us: (plane_density(1.0 / us) + plane_density(-1.0 / us)) / us**2,
             0.0,
             1.0,
             TIGHT,
-            vectorized=True,
         )
         rhs = (body + tails) / (2.0 * math.pi)
         assert abs(lhs - rhs) < 1e-6
@@ -226,9 +225,9 @@ class TestIsometryTransport:
                 total += np.abs(h(pts)) ** 2 / n_ang
             return total * (2.0 / (rhos**2 + 1.0)) ** 2 * rhos * 2 * math.pi
 
-        body = integrate(radial, 0.0, 1.0, TIGHT, vectorized=True)
+        body = integrate(radial, 0.0, 1.0, TIGHT)
         tails = integrate(
-            lambda us: radial(1.0 / us) / us**2, 0.0, 1.0, TIGHT, vectorized=True
+            lambda us: radial(1.0 / us) / us**2, 0.0, 1.0, TIGHT
         )
         rhs = (body + tails) / (4.0 * math.pi)
         assert abs(lhs - rhs) < 1e-6
@@ -240,7 +239,7 @@ class TestSolvableAction:
     @staticmethod
     def _norm_sq(f):
         return integrate(
-            lambda x: np.abs(f(x)) ** 2, -30.0, 30.0, TIGHT, vectorized=True
+            lambda x: np.abs(f(x)) ** 2, -30.0, 30.0, TIGHT
         ).real
 
     def test_scaling_action_unitary(self):

@@ -306,12 +306,6 @@ class TestRadialConvolve:
             )
             assert tr.radial_convolve(f, g, SPEC21) == tr.radial_convolve(g, f, SPEC21)
 
-    def test_support_growth_capacity(self):
-        f = tr.RadialFn.from_dict({3: 1})
-        with pytest.raises(CapacityError) as excinfo:
-            tr.radial_convolve(f, f, SPEC30, cap=2)
-        assert isinstance(excinfo.value, OverflowError)
-
     def test_matches_enumeration(self):
         for spec in ALL_SPECS:
             for i in range(6):
@@ -495,17 +489,6 @@ class TestPairing:
                         assert a.hex() == b.hex()
                     else:
                         assert a == b
-
-    def test_shell_function_capacity(self):
-        spec = SPEC02
-        q = spec.q
-        with pytest.raises(CapacityError):
-            tr.multiplicative_shell_function(spec, Fraction(1, 3), 2, cap=q)
-        # no shell beyond the first is forced, so E_1 need not fit
-        assert tr.multiplicative_shell_function(spec, Fraction(1, 3), 1, cap=q).as_dict() == {
-            0: 1, 1: Fraction(1, 3)
-        }
-        tr.multiplicative_shell_function(spec, Fraction(1, 3), 2, cap=q + 1)
 
     def test_character_property(self):
         rng = random.Random(10)
