@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import ConvergenceError, DomainError, InvariantError
 from .groups import as_spectral
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, composite, oscillation_edges, refine
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _embedded_weights, _gauss_legendre,
+                         composite, oscillation_edges)
 from .specfun import _bessel_k_scaled, _kernel_edges, _kernel_integral, bessel_k_many, rgamma
 from .spherical import _c_m, _open_strip
 
@@ -164,22 +165,30 @@ def sphere_quadrature(m: int, f, n_nodes: int = 512) -> complex:
     ``f`` receives an (N, m+1) array of sphere points and must return N
     values.
     """
+    return _sphere_rule(m, f, n_nodes)[0]
+
+
+def _sphere_rule(m: int, f, n_nodes: int) -> tuple[complex, float]:
+    """``sphere_quadrature`` and an error estimate from its own nodes: its
+    distance from the rules on the even-index angles and, on S^2, on the
+    even-index Gauss-Legendre nodes, plus eps times the integral of |f|."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
     if m == 1:
-        theta = np.linspace(0.0, 2.0 * math.pi, n_nodes, endpoint=False)
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return complex(np.mean(np.asarray(f(pts), dtype=complex)))
-    if m == 2:
-        n_u = n_nodes
-        us, wu = np.polynomial.legendre.leggauss(n_u)
-        n_phi = n_nodes
-        phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-        uu = np.repeat(us, n_phi)
-        pp = np.tile(phis, n_u)
+        wu = embedded = np.full(1, 2.0)
+        pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    elif m == 2:
+        (us, wu), embedded = _gauss_legendre(n_nodes), _embedded_weights(n_nodes)
+        uu, pp = np.repeat(us, n_nodes), np.tile(angles, n_nodes)
         sin_t = np.sqrt(1.0 - uu * uu)
         pts = np.stack([uu, sin_t * np.cos(pp), sin_t * np.sin(pp)], axis=1)
-        vals = np.asarray(f(pts), dtype=complex).reshape(n_u, n_phi)
-        return complex((wu @ vals.mean(axis=1)) / 2.0)
-    raise DomainError("sphere quadrature supports m in {1, 2}")
+    else:
+        raise DomainError("sphere quadrature supports m in {1, 2}")
+    vals = np.asarray(f(pts), dtype=complex).reshape(wu.size, n_nodes)
+    rows = vals.mean(axis=1)
+    value = complex(wu @ rows / 2.0)
+    err = (abs(wu @ vals[:, ::2].mean(axis=1) / 2.0 - value) + abs(embedded @ rows / 2.0 - value)
+           + np.finfo(float).eps * float(wu @ np.abs(vals).mean(axis=1)) / 2.0)
+    return value, err
 
 
 def phi_via_rho(n: int, s, g: LorentzMatrix,
@@ -187,8 +196,9 @@ def phi_via_rho(n: int, s, g: LorentzMatrix,
     """Coefficient <rho_s(g) 1, 1> by sphere quadrature, for n in {2, 3}.
 
     This is the representation-theoretic route to phi_s and serves as the
-    cross-module oracle for the hypergeometric evaluation.  Raises
-    ConvergenceError when six node doublings do not settle.
+    cross-module oracle for the hypergeometric evaluation.  A grid is
+    accepted on its own error estimate; raises ConvergenceError when six
+    node doublings do not meet the tolerance.
     """
     if n not in (2, 3):
         raise DomainError("phi_via_rho supports n in {2, 3}")
@@ -206,10 +216,12 @@ def phi_via_rho(n: int, s, g: LorentzMatrix,
         return np.exp(expo * np.log(w0))
 
     nodes = 128 if m == 1 else 48
-    return refine(
-        lambda k: sphere_quadrature(m, integrand, nodes * 2**k),
-        6, spec, "phi_via_rho sphere quadrature",
-    )
+    for k in range(7):
+        value, err = _sphere_rule(m, integrand, nodes * 2**k)
+        if err <= spec.relative_tolerance * max(abs(value), spec.absolute_tolerance):
+            return value
+    raise ConvergenceError("phi_via_rho sphere quadrature did not converge",
+                           best_estimate=value, achieved_error=err)
 
 
 # ---------------------------------------------------------------------------

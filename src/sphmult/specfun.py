@@ -11,14 +11,16 @@ side can be used to validate the other:
   ``gamma_ratio`` call (direct below |Im z| = 32, paired logs beyond),
   which holds to |Im z| = 1e4,
 * ``bessel_k`` and ``bessel_k_many`` evaluate the cosh-integral
-  representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt
-  (x > 0) through one batched kernel: a nested trapezoidal rule with
-  steps 2^-p, whose integrand is analytic in a strip, so that it converges
-  geometrically and each halving adds only the odd nodes.  Points sorted
-  by truncation point share the nodes in runs of up to 256, each level is
-  one matrix product, and every point keeps its own stopping rule.  Below
-  x = 1e-8 one closed form, the two leading terms of the small-argument
-  expansion scaled by x^|Re nu| and written in v = log x, takes over,
+  representation K_nu(x) = int_0^inf exp(-x*cosh(t)) * cosh(nu*t) dt (x > 0)
+  through one batched kernel: a nested trapezoidal rule with steps 2^-p,
+  whose integrand is analytic in a strip, so that it converges geometrically
+  and each halving adds only the odd nodes; a point stops at step h where
+  its even nodes (step 2h) predict below 1e-12, off the rounding floor.
+  Points sorted by truncation point share the nodes in runs of up to 256,
+  each level is one matrix product, and every point keeps its own stopping
+  rule.  Below x = 1e-8 one closed form, the two leading terms of the
+  small-argument expansion scaled by x^|Re nu| and written in v = log x,
+  takes over,
 * every Bessel-kernel integral (``bessel_product_moment``,
   ``spherical.phi_on_na``, ``lorentz.coefficient_pairing``) is one
   ``_kernel_integral`` on the grid of ``_kernel_edges``: the kernels
@@ -507,6 +509,18 @@ def _bessel_small_scaled(nu: complex, vs: np.ndarray) -> np.ndarray:
     return 0.5 * (first + np.where(keep, second, 0.0))
 
 
+def _bessel_small_mass(sigma: float, vs: np.ndarray) -> np.ndarray:
+    """r^sigma K_sigma(r) at r = e^v < _BESSEL_SMALL_X, the floor's scale, to 1e-4
+    from real leading terms: -(log(r/2) + gamma) below sigma = 1e-8, G(sigma)
+    2^(sigma-1) from 1 on, both in Temme's form with real log Gammas between."""
+    if sigma < 1e-8:
+        return math.log(2.0) - EULER_GAMMA - vs
+    if sigma >= 1.0:
+        return np.full(vs.shape, 0.5 * gamma(sigma).real * 2.0**sigma)
+    shift = math.lgamma(1.0 - sigma) - math.lgamma(1.0 + sigma) - 2.0 * sigma * math.log(2.0)
+    return -0.5 * math.gamma(1.0 + sigma) * 2.0**sigma * np.expm1(2.0 * sigma * vs + shift) / sigma
+
+
 def _bessel_k_scaled(nu: complex, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r^sigma K_nu(r) and r^sigma K_sigma(r), sigma = |Re nu|, at r = e^v for
     every v: the small-x form in v below _BESSEL_SMALL_X, the K_nu kernel
@@ -517,7 +531,7 @@ def _bessel_k_scaled(nu: complex, vs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     small = vs < _LOG_BESSEL_SMALL_X
     if small.any():
         out[small] = _bessel_small_scaled(nu, vs[small])
-        mass[small] = _bessel_small_scaled(complex(abs(nu.real)), vs[small]).real
+        mass[small] = _bessel_small_mass(abs(nu.real), vs[small])
     rest = vs[~small]
     scale = np.exp(abs(nu.real) * rest)
     k, k_sigma = _bessel_k_array(nu, np.exp(rest))
@@ -611,7 +625,7 @@ _BESSEL_RUN = 256
 
 
 def _bessel_step(nu: complex, x_max: float) -> float:
-    """First trapezoid step 2^-p for points up to x_max: below
+    """Trapezoid step 2^-p of the first level for points up to x_max: below
     2 pi / (|Im nu| + 19), so that cos(t Im nu) does not alias, and below
     0.81 times the width (x_max^2 + sigma^2)^(-1/4) of the integrand's
     peak, so that the first level already meets 1e-12."""
@@ -652,9 +666,9 @@ def _bessel_k_array(nu: complex, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         with np.errstate(over="ignore", invalid="ignore"):
             scale = xs[small] ** -sigma
             out[small] = _bessel_small_scaled(nu, logs) * scale
-            masses[small] = _bessel_small_scaled(complex(sigma), logs).real * scale
-        if not np.isfinite(out[small]).all():
-            raise ConvergenceError("bessel_k at small x is beyond the float range")
+            if not np.isfinite(out[small]).all():
+                raise ConvergenceError("bessel_k at small x is beyond the float range")
+            masses[small] = _bessel_small_mass(sigma, logs) * scale
     rest = xs[~small]
     # Cut each integral at the T where x cosh T - sigma T exceeds its value
     # at the envelope's peak, t = asinh(sigma / x), by 40 e-folds (~4e-18)
@@ -678,15 +692,18 @@ def _bessel_k_array(nu: complex, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         for start in range(0, len(order), _BESSEL_RUN):
             open_ = order[start:start + _BESSEL_RUN]
             xs_open = rest[open_]
-            h = _bessel_step(nu, float(xs_open.max()))
+            h = 2.0 * _bessel_step(nu, float(xs_open.max()))
             n = max(1, math.ceil(cuts[open_[-1]] / h))
             est = h * _bessel_sums(nu, xs_open, h * np.arange(n + 1.0))
             # Each point stops on its own rule; only open points are refined.
-            for _ in range(3):
+            for level in range(4):
                 h, n = 0.5 * h, 2 * n
                 finer = 0.5 * est + h * _bessel_sums(nu, xs_open, h * np.arange(1.0, n, 2.0))
                 err = np.hypot(finer[:, 0] - est[:, 0], finer[:, 1] - est[:, 1])
-                done = err <= SPECIAL_RTOL * np.hypot(finer[:, 0], finer[:, 1])
+                tol, mass = SPECIAL_RTOL * np.hypot(finer[:, 0], finer[:, 1]), finer[:, 2]
+                # step h is about err^2 / M off, M = K_sigma, unless at the floor
+                done = (err <= tol if level else
+                        (err * err <= tol * mass) & (_BESSEL_ROUNDING_FLOOR * mass <= tol))
                 sums[open_[done]] = finer[done]
                 open_, xs_open, est, err = open_[~done], xs_open[~done], finer[~done], err[~done]
                 if not open_.size:
@@ -720,18 +737,19 @@ def bessel_k(nu: complex, x: float) -> complex:
     so the trapezoidal rule on [0, T], t = 0 at half weight, converges
     geometrically.  T leaves the discarded tail 45 e-folds below the
     integrand's peak.  The first step 2^-p resolves both the oscillation
-    of cos(t Im nu) and the peak's curvature; each of up to three halvings
-    adds only the new odd nodes.
-    Symmetry in nu and conjugation symmetry hold by construction.
+    of cos(t Im nu) and the peak's curvature; its even nodes are the rule
+    at step 2h, and each of up to three halvings adds only the new odd
+    nodes.  Symmetry in nu and conjugation symmetry hold by construction.
 
-    The result is returned once two levels agree to 1e-12 relative, or,
-    after the last halving, to 8 ulps of K_sigma(x), sigma = |Re nu|.
-    K_sigma(x) bounds the L1 mass of the integrand, so the second rule is
-    the rounding floor near zeros of K_nu, and at large |Im nu|, where
-    |K_nu| ~ e^(-pi |Im nu| / 2) K_sigma: the error is at most
+    K_sigma(x), sigma = |Re nu|, bounds the L1 mass M of the integrand.
+    Step h is about d^2 / M off, d its distance from step 2h, and is
+    returned when that is at most 1e-12 |K| and so is 8 ulps M.  Otherwise
+    two halvings must agree to 1e-12 relative, or, after the last, to
+    8 ulps of M: the rounding floor near zeros of K_nu, and at large
+    |Im nu|, where |K_nu| ~ e^(-pi |Im nu| / 2) M.  The error is at most
     max(1e-12 |K_nu(x)|, 8 ulps K_sigma(x)), and the relative accuracy is
     limited by the conditioning K_sigma(x) / |K_nu(x)|.  Raises
-    ConvergenceError when neither rule holds, and where cosh(sigma t) leaves
+    ConvergenceError when no rule holds, and where cosh(sigma t) leaves
     the float range before T, sigma T > 710: at large sigma and small x,
     K_40 below x of about 6e-6 and K_100 below about 0.4, although K_nu(x)
     itself is finite there.
@@ -750,7 +768,9 @@ def bessel_k_many(nu: complex, xs: Sequence[float]) -> np.ndarray:
     runs of at most 256 points that share the trapezoid nodes, one matrix
     product per level; a run's nodes reach its longest cut at the step of
     its largest x, so a value agrees with ``bessel_k`` to rounding of
-    K_sigma(x) and does not depend on the order of ``xs``.  Raises
+    K_sigma(x) and does not depend on the order of ``xs``.  Each point stops
+    at step h where d^2 / K_sigma and 8 ulps K_sigma are at most 1e-12 |K_nu|,
+    else after halvings: within max(1e-12 |K_nu|, 8 ulps K_sigma).  Raises
     DomainError when any abscissa is not positive, and ConvergenceError
     when a value is beyond the float range.
     """

@@ -307,6 +307,24 @@ class TestPhiViaRho:
         with pytest.raises(DomainError):
             lz.phi_via_rho(4, 0.2, lz.make_a(1.0, 4))
 
+    def test_one_sphere_grid(self, monkeypatch):
+        # the 48 x 48 grid is accepted on its own error estimate; the
+        # 96 x 96 grid, whose value the confirming pass returned, agrees
+        s, r = 0.2 + 0.5j, 0.7
+        finer = lz.sphere_quadrature(
+            2, lambda p: (math.cosh(r) - math.sinh(r) * p[:, 0]) ** -(1.0 + s), 96)
+        grids = []
+        rule = lz._sphere_rule
+
+        def counted(m, f, n_nodes):
+            grids.append(n_nodes)
+            return rule(m, f, n_nodes)
+
+        monkeypatch.setattr(lz, "_sphere_rule", counted)
+        value = lz.phi_via_rho(3, s, lz.make_a(r, 3))
+        assert grids == [48]
+        assert abs(value - finer) < 1e-12 * abs(finer)
+
     def test_unconverged_refinement_raises(self):
         s, g = 0.3 + 0.6j, lz.make_a(1.2, 2)
         with pytest.raises(ConvergenceError) as excinfo:

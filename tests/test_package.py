@@ -257,6 +257,22 @@ def _callees(node):
     return {_callee(call) for call in ast.walk(node) if isinstance(call, ast.Call)}
 
 
+def test_leggauss_runs_only_in_cached_helpers():
+    # leggauss(n) is an eigenvalue solve; sphere_quadrature repeated it for
+    # every grid of every phi_via_rho call
+    seen = 0
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        cached = {id(call) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  and any(ast.unparse(d) in ("functools.cache", "cache") for d in func.decorator_list)
+                  for call in ast.walk(func)}
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _callee(call) == "leggauss":
+                seen += 1
+                assert id(call) in cached, f"{path.name}:{call.lineno}"
+    assert seen
+
+
 def test_kernel_integral_internals_stay_in_specfun():
     # the rows, the rounding floor and its check have one owner, and the
     # grid rule one home
