@@ -312,17 +312,15 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     r = float(r)
     lam = math.exp(r) * abs(float(y))
     sigma = abs(sc.real)
-    sc_neg_conj = -sc.conjugate()
     coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc)
-    coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc_neg_conj)
+    coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 - sc.conjugate())
 
-    def kernels(vs):
-        right, right_mass = _bessel_k_scaled(sc_neg_conj, vs)
-        return _bessel_k_scaled(sc, vs + r), (np.conjugate(right), right_mass)
+    def kernels(vs):  # K_s(e^r x) and conj K_(-conj s)(x) = K_s(x), from one K_nu call
+        return zip(*_bessel_k_scaled(sc, np.add.outer((r, 0.0), vs)))
 
     def weight(vs):
         return np.cos(lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)
 
     scale = 2.0 * math.exp(m * r / 2.0) * coeff_left * coeff_right.conjugate()
-    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc_neg_conj, m - 1.0, r, lam, spec),
+    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc, m - 1.0, r, lam, spec),
                             spec, 0, "coefficient pairing quadrature", scale)

@@ -219,19 +219,20 @@ def composite(f: Callable, edges: np.ndarray):
     return (complex(sums), float(errors)) if sums.ndim == 0 else (sums, errors)
 
 
+def _panel_width(rate: float, base_width: float) -> float:
+    """2 pi / (1 + |rate|), one period of the rate plus one, at most base_width."""
+    return min(base_width, 2.0 * math.pi / (1.0 + abs(rate)))
+
+
 def oscillation_edges(a: float, b: float, t: float, lam: float = 0.0,
                       base_width: float = 0.9) -> np.ndarray:
     """Panel edges on [a, b] sized against the oscillation rate t + lam e^x
-    (radians/unit): each panel is at most base_width and about a quarter
-    period wide, so the 15-point rule stays in its spectrally accurate
-    regime.  At lam = 0 the panels are equal."""
+    (radians/unit): each panel is at most base_width and one period of the
+    rate at its left edge wide, half the two periods over which 15 points
+    integrate e^(i w x) to 5e-16 of the width.  At lam = 0 panels are equal."""
     if not lam:
-        width = min(base_width, math.pi / (2.0 * (1.0 + abs(t))))
-        return np.linspace(a, b, math.ceil((b - a) / width) + 1)
+        return np.linspace(a, b, math.ceil((b - a) / _panel_width(t, base_width)) + 1)
     edges = [a]
-    x = a
-    while x < b:
-        w = min(base_width, math.pi / (2.0 * (1.0 + abs(t + lam * math.exp(x)))))
-        x = min(b, x + w)
-        edges.append(x)
+    while edges[-1] < b:
+        edges.append(min(b, edges[-1] + _panel_width(t + lam * math.exp(edges[-1]), base_width)))
     return np.array(edges)

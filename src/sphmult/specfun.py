@@ -50,8 +50,8 @@ from itertools import count
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import (_TRUNCATION_MARGIN, DEFAULT_SPEC, QuadratureSpec, _numpy, composite,
-                         oscillation_edges)
+from .quadrature import (_TRUNCATION_MARGIN, DEFAULT_SPEC, QuadratureSpec, _numpy, _panel_width,
+                         composite, oscillation_edges)
 
 np = _numpy(__name__)
 
@@ -549,9 +549,9 @@ def _kernel_edges(nu: complex, mu: complex, power: complex, shift: float, lam: f
     |Re mu|, has spent the truncation depth D, and ends where the kernels'
     e^(-(1 + e^shift) x) has spent D plus pi max(|Im nu|, |Im mu|) (the
     integral lies that far below their envelope) against x^(Re power + 1).
-    Panels follow the oscillation rate |Im nu| + |Im mu| + |Im power| +
-    lam x, and are at most 0.9 wide unless both kernels are below x = 1e-8
-    (sums of powers of x).  Raises DomainError when d <= 0, ConvergenceError
+    Panels are one period of the rate |Im nu| + |Im mu| + |Im power| + lam x
+    wide, at most pi below x = 1e-8 and above it at most 1.8 and three widths
+    of the integrand's peak.  Raises DomainError when d <= 0, ConvergenceError
     before building a grid of more than ``spec.max_panels`` panels.
     """
     decay = power.real + 1.0 - abs(nu.real) - abs(mu.real)
@@ -566,13 +566,14 @@ def _kernel_edges(nu: complex, mu: complex, power: complex, shift: float, lam: f
         v_max = math.log(max((depth_right + (power.real + 1.0) * v_max) / rate, 1e-3))
     v_split = min(max(v_min, _LOG_BESSEL_SMALL_X - max(shift, 0.0)), v_max)
     osc = abs(nu.imag) + abs(mu.imag) + abs(power.imag)
-    widest = math.pi / (2.0 * (1.0 + osc))
-    fewest = (v_split - v_min) / widest + (v_max - v_split) / min(0.9, widest)
+    cap = min(1.8, 3.2 / math.sqrt(power.real + 1.0))  # the peak is about 1/sqrt(power) wide
+    fewest = ((v_split - v_min) / _panel_width(osc, math.pi)
+              + (v_max - v_split) / _panel_width(osc, cap))
     if fewest > spec.max_panels:
         raise ConvergenceError(f"Bessel-kernel quadrature needs at least {math.ceil(fewest)} "
                                f"panels, more than max_panels={spec.max_panels}")
-    return np.concatenate([oscillation_edges(v_min, v_split, osc, lam, math.pi / 2.0)[:-1],
-                           oscillation_edges(v_split, v_max, osc, lam, 0.9)])
+    return np.concatenate([oscillation_edges(v_min, v_split, osc, lam, math.pi)[:-1],
+                           oscillation_edges(v_split, v_max, osc, lam, cap)])
 
 
 def _kernel_value(sums: np.ndarray, spec: QuadratureSpec) -> complex:

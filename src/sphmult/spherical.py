@@ -377,11 +377,11 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     factor is integrated by ``specfun._kernel_integral`` on the grid of
     ``specfun._kernel_edges``, bisected up to twice while its embedded error
     estimate misses the tolerance; it holds up to the strip edge (checked
-    at sig = |Re s| = m/2 - 0.001, where the grid has about 12,000 panels).
+    at sig = |Re s| = m/2 - 0.001, where the grid has about 5,900 panels).
     Raises ConvergenceError, with the estimate in the units of the value,
     when two bisections do not meet the tolerance, when the grid would
     need more than ``spec.max_panels`` panels (for real s from sig of about
-    m/2 - 0.0006 at the default spec), and when the kernels' rounding
+    m/2 - 0.0003 at the default spec), and when the kernels' rounding
     floor, integrated, exceeds relative_tolerance times the integral of
     |integrand| (at large |Im s|: at m = 1, sigma = 0.3, r = 0.7 and y = 0 at
     scattered points of [7.71, 8.54] and from about 9.9 on).
@@ -394,8 +394,8 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave
     sigma = abs(sc.real)
 
-    def kernels(vs):
-        return _bessel_k_scaled(sc, vs), _bessel_k_scaled(sc, vs + r)
+    def kernels(vs):  # the (K, M) pairs at v and at v + r, from one K_nu call
+        return zip(*_bessel_k_scaled(sc, np.add.outer((0.0, r), vs)))
 
     def weight(vs):
         # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)

@@ -4,16 +4,17 @@ import cmath
 import heapq
 import math
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from sphmult import groups, spherical
+from sphmult import groups, lorentz, spherical
 from sphmult import specfun as sf
 from sphmult.errors import ConvergenceError, DomainError, PoleError, SphmultError
 from sphmult.quadrature import (QuadratureSpec, _embedded_weights, _gauss_legendre, composite,
-                                integrate)
+                                integrate, oscillation_edges)
 
 try:
     import mpmath
@@ -739,6 +740,43 @@ class TestIntegrate:
             QuadratureSpec(**{field: value})
 
 
+class TestOscillationEdges:
+    # a 15-point panel integrates e^(i w x) to rounding over two periods, so
+    # a panel spans one period of the rate; a quarter period built 198 here
+    def test_one_period_per_panel(self):
+        assert len(oscillation_edges(0.0, 10.0, 30.0)) - 1 == 50
+
+    @pytest.mark.parametrize("w", [0.5, 3.0, 30.0, 300.0])
+    def test_plane_wave_to_rounding(self, w):
+        value = composite(lambda v: np.exp(1j * w * v), oscillation_edges(0.0, 10.0, w))[0]
+        assert abs(value - (cmath.exp(10j * w) - 1.0) / (1j * w)) <= 1e-14 * 10.0
+
+    def test_growing_rate_stays_within_two_periods(self):
+        # each width follows the rate t + lam e^x at its panel's left edge
+        for lam in (0.1, 1.0, 2.5, 10.0, 100.0, 1000.0):
+            for t in (0.0, 0.5, 3.0, 10.0):
+                edges = oscillation_edges(-10.0, 3.0, t, lam, 1.8)
+                widths = np.diff(edges)
+                phase = t * widths + lam * np.exp(edges[:-1]) * np.expm1(widths)
+                assert phase.max() <= 2.0 * (2.0 * math.pi), (lam, t)
+
+    def test_l1_norm_kernel_nodes(self, monkeypatch):
+        # 870 with quarter-period panels of at most 0.9
+        points = kernel_points(monkeypatch, sf, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j))
+        assert sum(points) <= 300
+
+    @pytest.mark.parametrize("nu, mu, power, shift", [
+        (0.3 + 1j, 0.3 - 1j, 1.0, 0.0), (0.1, 0.2, 0.0, 0.0), (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7),
+        (1.45, 1.45, 2.0, 0.0), (0.3 + 4j, 0.3 + 4j, 2.0, 1.0), (0.1, 0.2, 30.0, 0.0)])
+    def test_budget_estimate_matches_the_grid(self, nu, mu, power, shift):
+        args = (complex(nu), complex(mu), complex(power), shift, 0.0)
+        panels = len(sf._kernel_edges(*args, QuadratureSpec())) - 1
+        with pytest.raises(ConvergenceError) as excinfo:
+            sf._kernel_edges(*args, QuadratureSpec(max_panels=1))
+        fewest = int(re.search(r"at least (\d+) panels", str(excinfo.value)).group(1))
+        assert abs(fewest - panels) <= 2
+
+
 class TestEmbeddedRule:
     def test_degree_seven_on_the_even_nodes(self):
         weights = _embedded_weights()
@@ -783,28 +821,34 @@ def kernel_points(monkeypatch, module, call):
 
 
 class TestKernelIntegralLevels:
-    # (module of the kernels' caller, call, _kernel_edges arguments, kernel calls)
+    # (module of the kernels' caller, call, _kernel_edges arguments,
+    #  points of each kernel call per grid node)
     LEVEL_ZERO = [
-        (sf, lambda: sf.bessel_product_moment(0.1, 0.2, 0), (0.1, 0.2, 0.0, 0.0, 0.0), 2),
+        (sf, lambda: sf.bessel_product_moment(0.1, 0.2, 0), (0.1, 0.2, 0.0, 0.0, 0.0), [1, 1]),
         (sf, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j),
-         (0.3 + 1j, 0.3 - 1j, 1.0, 0.0, 0.0), 1),
+         (0.3 + 1j, 0.3 - 1j, 1.0, 0.0, 0.0), [1]),
+        # K_s at v and at v + r in one call
         (spherical, lambda: spherical.phi_on_na(1, 0.2 + 0.5j, 0.7, 0),
-         (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.0), 2),
+         (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.0), [2]),
+        (lorentz, lambda: lorentz.coefficient_pairing(1, 0.2 + 0.5j, 0.7, 0.4),
+         (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.4 * math.exp(0.7)), [2]),
     ]
 
     @pytest.mark.parametrize("module, call, grid, kernels", LEVEL_ZERO,
-                             ids=["moment", "l1_norm", "phi_on_na"])
+                             ids=["moment", "l1_norm", "phi_on_na", "pairing"])
     def test_kernels_run_on_level_zero_only(self, monkeypatch, module, call, grid, kernels):
         # the confirming bisection evaluated both kernels on twice the panels
         nu, mu, power, shift, lam = grid
         edges = sf._kernel_edges(complex(nu), complex(mu), complex(power), shift, lam,
                                  QuadratureSpec())
-        assert kernel_points(monkeypatch, module, call) == [15 * (len(edges) - 1)] * kernels
+        nodes = 15 * (len(edges) - 1)
+        assert kernel_points(monkeypatch, module, call) == [k * nodes for k in kernels]
 
     def test_missed_estimate_bisects(self, monkeypatch):
-        # level 0's scaled estimate is about 3e-8 of the moment here; the
-        # estimate of multiplier_l1_norm(3, 0.2 + 0.3j), which bisected
-        # before it was scaled, is now below 1e-15 of the norm
+        # level 0's scaled estimate is about 1e-9 of the moment at power 10
+        # and 4e-10 at power 2, and its first bisection's 7e-14 and 1e-12;
+        # that of multiplier_l1_norm(3, 0.2 + 0.3j), which bisected before
+        # it was scaled, is 9e-10 of the norm
         panels = []
         original = sf.composite
 
@@ -813,9 +857,27 @@ class TestKernelIntegralLevels:
             return original(f, edges)
 
         monkeypatch.setattr(sf, "composite", counted)
-        value = sf.bessel_product_moment(0.1, 0.2, 30.0)
-        assert panels == [panels[0], 2 * panels[0]]
-        assert rel(value, sf.weber_schafheitlin_rhs(0.1, 0.2, -30.0)) < 1e-8
+        for power, tol, bisections in ((10.0, 1e-10, 1), (2.0, 1e-12, 2)):
+            panels.clear()
+            value = sf.bessel_product_moment(0.1, 0.2, power, QuadratureSpec(tol))
+            assert panels == [panels[0] * 2**k for k in range(bisections + 1)]
+            assert rel(value, sf.weber_schafheitlin_rhs(0.1, 0.2, -power)) < tol
+
+    @pytest.mark.parametrize("power", [3.0, 10.0, 30.0])
+    def test_large_power_takes_one_grid(self, monkeypatch, power):
+        # the integrand's peak in v is about 1/sqrt(power) wide, and panels
+        # of 1.8 regardless of the power bisected here
+        panels = []
+        original = sf.composite
+
+        def counted(f, edges):
+            panels.append(len(edges) - 1)
+            return original(f, edges)
+
+        monkeypatch.setattr(sf, "composite", counted)
+        value = sf.bessel_product_moment(0.2 + 0.5j, -0.1 + 2j, power)
+        assert len(panels) == 1
+        assert rel(value, sf.weber_schafheitlin_rhs(0.2 + 0.5j, -0.1 + 2j, -power)) < 1e-8
 
     def test_exhausted_refinement_raises_in_caller_units(self, monkeypatch):
         # an estimate inflated to 1e-6 of the value fails all four levels;
