@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, InvariantError
 from .groups import as_spectral
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, _embedded_weights, _gauss_legendre,
                          composite, oscillation_edges)
-from .specfun import _bessel_k_scaled, _kernel_edges, _kernel_integral, bessel_k_many, rgamma
+from .specfun import _kernel_integral, bessel_k_many, rgamma
 from .spherical import _c_m, _open_strip
 
 _MATRIX_TOL = 1e-10
@@ -301,26 +301,19 @@ def coefficient_pairing(m: int, s, r: float, y: float,
     v_s is the Bessel kernel vector; the solvable-group action sends
     f(x) to e^(mr/2) e^(-i y e^r x) f(e^r x).  Cross-checks phi_on_na,
     which carries the same content through a prefactor formula.  The
-    integral is ``specfun._kernel_integral`` on the grid of phi_on_na,
-    without bisection, so it holds up to the strip edge and raises
-    ConvergenceError, with the estimate in the units of the value, on the
-    same panel budget and rounding floor.
+    integral is ``specfun._kernel_integral`` of phi_on_na's parameters with
+    the wave cos, without bisection, so it holds up to the strip edge and
+    raises ConvergenceError, with the estimate in the units of the value,
+    on the same panel budget and rounding floor.
     """
     if m != 1:
         raise DomainError("coefficient_pairing supports m = 1 only")
     sc = _open_strip(m, s, "coefficient_pairing")
     r = float(r)
     lam = math.exp(r) * abs(float(y))
-    sigma = abs(sc.real)
     coeff_left = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 + sc)
     coeff_right = _c_m(m) * 2.0 ** (1.0 - m / 2.0) * rgamma(m / 2.0 - sc.conjugate())
-
-    def kernels(vs):  # K_s(e^r x) and conj K_(-conj s)(x) = K_s(x), from one K_nu call
-        return zip(*_bessel_k_scaled(sc, np.add.outer((r, 0.0), vs)))
-
-    def weight(vs):
-        return np.cos(lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)
-
     scale = 2.0 * math.exp(m * r / 2.0) * coeff_left * coeff_right.conjugate()
-    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc, m - 1.0, r, lam, spec),
-                            spec, 0, "coefficient pairing quadrature", scale)
+    # K_s(e^r x) against conj K_(-conj s)(x) = K_s(x)
+    return _kernel_integral(sc, sc, complex(m - 1.0), r, lam, np.cos, spec, 0,
+                            "coefficient pairing quadrature", scale)

@@ -21,12 +21,13 @@ side can be used to validate the other:
   rule.  Below x = 1e-8 one closed form, the two leading terms of the
   small-argument expansion scaled by x^|Re nu| and written in v = log x,
   takes over,
-* every Bessel-kernel integral (``bessel_product_moment``,
-  ``spherical.phi_on_na``, ``lorentz.coefficient_pairing``) is one
-  ``_kernel_integral`` on the grid of ``_kernel_edges``: the kernels
-  x^|Re nu| K_nu(x) and the scale of their rounding floor from
-  ``_bessel_k_scaled``, panels in v = log x bisected only where the
-  embedded rule's error estimate misses the tolerance, and
+* every Bessel-kernel integral, int K_nu(e^shift x) K_mu(x) x^power
+  wave(lam x) dx (``bessel_product_moment``, ``spherical.phi_on_na``,
+  ``lorentz.coefficient_pairing``), is one ``_kernel_integral`` of those
+  parameters, the one owner of its grid (``_kernel_edges``), its kernels
+  x^|Re nu| K_nu(x) with their rounding floor (``_bessel_k_scaled``) and the
+  weight that undoes their scaling: panels in v = log x bisected only where
+  the embedded rule's error estimate misses the tolerance, and
   ConvergenceError where the floor, integrated, exceeds the tolerance,
 * ``weber_schafheitlin_rhs`` is the Gamma-product closed form of the
   moment integral int_0^inf K_nu(r) K_mu(r) r^(-rho) dr, and
@@ -576,47 +577,57 @@ def _kernel_edges(nu: complex, mu: complex, power: complex, shift: float, lam: f
                            oscillation_edges(v_split, v_max, osc, lam, cap)])
 
 
-def _kernel_value(sums: np.ndarray, spec: QuadratureSpec) -> complex:
-    """The value from composite() of ``_kernel_integral``'s rows.  The K_nu
-    kernel is exact only to its rounding floor, so a floor whose integral
-    exceeds relative_tolerance times the integral of |integrand| raises
-    ConvergenceError; |integrand|, not the value, so that zeros of the
-    value do not trip it."""
-    value, size, floor = sums
-    if floor.real > spec.relative_tolerance * size.real:
-        raise ConvergenceError(
-            "the K_nu kernel's rounding floor exceeds the quadrature tolerance",
-            best_estimate=complex(value), achieved_error=float(floor.real))
-    return value
+def _kernel_integral(nu: complex, mu: complex, power: complex, shift: float, lam: float, wave,
+                     spec: QuadratureSpec, levels: int, what: str, scale: complex) -> complex:
+    """scale times int_0^inf K_nu(e^shift x) K_mu(x) x^power wave(lam x) dx
+    (no wave: 1) on the grid of ``_kernel_edges``, in v = log x.
 
-
-def _kernel_integral(kernels, weight, edges: np.ndarray, spec: QuadratureSpec, levels: int,
-                     what: str, scale: complex) -> complex:
-    """scale times the integral over v of K1 K2 weight(v) on the panel edges,
-    where kernels(vs) gives the two (K, M) pairs of ``_bessel_k_scaled``.
-
-    composite() sums the value, its modulus and its rounding floor
-    8 ulps (M1 |K2| + |K1| M2) |scale weight| and estimates the value's
-    error; ``_kernel_value`` checks the floor.  Panels are bisected up to
-    ``levels`` times (none: level 0 unchecked) while the error exceeds
-    relative_tolerance * max(|value|, absolute_tolerance).  The scale enters
-    every node, so a value and a ConvergenceError's payload are in caller units.
+    The kernels are ``_bessel_k_scaled``'s x^|Re nu| K_nu: one call where
+    mu = nu (at v + shift and v) or mu = conj nu at shift 0, two otherwise;
+    the weight exp((power + 1 - |Re nu| - |Re mu|) v - |Re nu| shift) undoes
+    their scaling.  composite() sums the value, its modulus and its rounding
+    floor 8 ulps (M1 |K2| + |K1| M2) |scale weight|; a floor whose integral
+    exceeds relative_tolerance times that of |integrand| (not of the value,
+    whose zeros would trip it) raises ConvergenceError.  Panels are bisected
+    up to ``levels`` times (none: level 0 unchecked) while the error
+    estimate exceeds relative_tolerance * max(|value|, absolute_tolerance),
+    and ConvergenceError is raised when the last level misses it or before
+    a bisection would exceed ``spec.max_panels``.  The scale enters every
+    node, so values and ConvergenceError payloads are in caller units.
     """
+    sigma = abs(nu.real)
+    exponent = power + 1.0 - sigma - abs(mu.real)
 
     def rows(vs):
-        (k1, m1), (k2, m2) = kernels(vs)
-        w = scale * weight(vs)
+        if mu == nu and shift:  # K_nu at v + shift and at v, from one call
+            (k1, k2), (m1, m2) = _bessel_k_scaled(nu, np.add.outer((shift, 0.0), vs))
+        else:
+            k1, m1 = _bessel_k_scaled(nu, vs + shift)
+            if shift or mu not in (nu, nu.conjugate()):
+                k2, m2 = _bessel_k_scaled(mu, vs)
+            else:
+                k2, m2 = k1 if mu == nu else np.conjugate(k1), m1
+        w = np.exp(exponent * vs - sigma * shift)
+        w = scale * (w if wave is None else wave(lam * np.exp(vs)) * w)
         value = k1 * k2 * w
         floor = _BESSEL_ROUNDING_FLOOR * (m1 * np.abs(k2) + np.abs(k1) * m2) * np.abs(w)
         return np.stack([value, np.abs(value), floor])
 
-    for _ in range(levels + 1):
-        sums, errors = composite(rows, edges)
-        value, err = complex(_kernel_value(sums, spec)), float(errors[0])
+    edges = _kernel_edges(nu, mu, power, shift, lam, spec)
+    for level in range(levels + 1):
+        (value, size, floor), errors = composite(rows, edges)
+        value, err = complex(value), float(errors[0])
+        if floor.real > spec.relative_tolerance * size.real:
+            raise ConvergenceError(
+                "the K_nu kernel's rounding floor exceeds the quadrature tolerance",
+                best_estimate=value, achieved_error=float(floor.real))
         if not levels or err <= spec.relative_tolerance * max(abs(value), spec.absolute_tolerance):
             return value
+        if level == levels or 2 * (len(edges) - 1) > spec.max_panels:
+            break
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-    raise ConvergenceError(f"{what} did not converge", best_estimate=value, achieved_error=err)
+    raise ConvergenceError(f"{what} did not converge on {len(edges) - 1} panels (max_panels="
+                           f"{spec.max_panels})", best_estimate=value, achieved_error=err)
 
 
 # Most points that share the trapezoid nodes in the batched K_nu kernel:
@@ -803,30 +814,14 @@ def bessel_product_moment(nu: complex, mu: complex, power: complex,
     r < 1e-8, so that neither K_nu^2 nor r leaves the float range when the
     decay is slow.  This is the independent oracle for
     ``weber_schafheitlin_rhs`` (with power = -rho) and for every L^2 norm
-    built on Bessel kernels.  The grid is ``_kernel_edges``', bisected up to
-    three times while its embedded error estimate misses the tolerance.
-    Raises ConvergenceError when the grid needs more than ``max_panels``
-    panels (a decay at r = 0 too slow for the budget), when three
-    bisections do not meet the tolerance, and when the K_nu
+    built on Bessel kernels: ``_kernel_integral``, bisected up to three
+    times.  Raises ConvergenceError when the grid or a bisection needs more
+    than ``max_panels`` panels (a decay at r = 0 too slow for the budget),
+    when three bisections do not meet the tolerance, and when the K_nu
     kernels' rounding floor, 8 ulps (K_a |K_mu| + |K_nu| K_b) integrated
     against r^power, exceeds ``spec.relative_tolerance`` times the integral
     of |integrand|: at large |Im nu|, where |K_nu| ~ e^(-pi |Im nu| / 2) K_a,
     the kernels carry too few digits.
     """
-    return _product_moment(complex(nu), complex(mu), complex(power), spec, 1.0)
-
-
-def _product_moment(nu: complex, mu: complex, power: complex, spec: QuadratureSpec,
-                    scale: float) -> complex:
-    """scale times ``bessel_product_moment``, with a ConvergenceError's
-    estimate and error in the same units."""
-    exponent = power + 1.0 - abs(nu.real) - abs(mu.real)
-
-    def kernels(vs):
-        k1, m1 = _bessel_k_scaled(nu, vs)
-        second = (np.conjugate(k1), m1) if mu == nu.conjugate() else _bessel_k_scaled(mu, vs)
-        return (k1, m1), second
-
-    return _kernel_integral(kernels, lambda vs: np.exp(exponent * vs),
-                            _kernel_edges(nu, mu, power, 0.0, 0.0, spec), spec, 3,
-                            "bessel moment quadrature", scale)
+    return _kernel_integral(complex(nu), complex(mu), complex(power), 0.0, 0.0, None, spec, 3,
+                            "bessel moment quadrature", 1.0)

@@ -36,11 +36,8 @@ from .groups import RankOneGroup, StripPosition, as_spectral, classify
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, _numpy, composite, integrate
 from .specfun import (
     SPECIAL_RTOL,
-    _bessel_k_scaled,
     _hyp2f1_zw,
-    _kernel_edges,
     _kernel_integral,
-    _product_moment,
     bessel_k,
     gamma,
     gamma_ratio,
@@ -325,13 +322,14 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     phi_s restricted to the nilpotent part; equals cb_norm_lorentz.
 
     Computed by quadrature:  2^(3-m) G(m) / (G(m/2)^2 |G(m/2+s) G(m/2-s)|)
-    times int_0^inf |K_s(r)|^2 r^(m-1) dr.  K_s ~ e^(-pi |Im s| / 2) K_sigma
-    sinks toward the K_nu kernel's rounding floor, 8 ulps of K_sigma, as
-    |Im s| grows: the moment integral (``bessel_product_moment``'s) raises
-    ConvergenceError, with its estimate in the units of the norm, once that
-    floor, integrated, exceeds the tolerance (at m = 3 and sigma = 0.3 from
-    |Im s| = 13.24 on, where it is 2e-12 off the cb norm just before), and
-    beyond |Im s| = 64 it raises at once.
+    times int_0^inf |K_s(r)|^2 r^(m-1) dr, ``bessel_product_moment``'s
+    integral, which ``specfun._kernel_integral`` takes with this constant as
+    its scale.  K_s ~ e^(-pi |Im s| / 2) K_sigma sinks toward the K_nu
+    kernel's rounding floor, 8 ulps of K_sigma, as |Im s| grows: the
+    integral raises ConvergenceError, with its estimate in the units of the
+    norm, once that floor, integrated, exceeds the tolerance (at m = 3 and
+    sigma = 0.3 from |Im s| = 13.24 on, where it is 2e-12 off the cb norm
+    just before), and beyond |Im s| = 64 it raises at once.
     """
     sc = _open_strip(m, s, "multiplier_l1_norm")
     if abs(sc.imag) > _L1_NORM_MAX_T:
@@ -339,7 +337,8 @@ def multiplier_l1_norm(m: int, s, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
             f"multiplier_l1_norm: K_s is below the quadrature's rounding floor at s={sc}")
     half = m / 2.0
     const = 2.0 ** (3.0 - m) * abs(gamma_ratio((float(m),), (half, half, half + sc, half - sc)))
-    return _product_moment(sc, sc.conjugate(), complex(m - 1.0), spec, const).real
+    return _kernel_integral(sc, sc.conjugate(), complex(m - 1.0), 0.0, 0.0, None, spec, 3,
+                            "bessel moment quadrature", const).real
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +372,19 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
 
     For y = 0 this reproduces phi_s(a_r); for r = 0 it is the Fourier
     transform of the squared-Bessel kernel at y.  Supports m in {1,2,3}
-    and s in the open strip.  K_s(x) K_s(e^r x) x^(m-1) times the angular
-    factor is integrated by ``specfun._kernel_integral`` on the grid of
-    ``specfun._kernel_edges``, bisected up to twice while its embedded error
+    and s in the open strip.  The integral of K_s(e^r x) K_s(x) x^(m-1)
+    against the angular factor at e^r |y| x is ``specfun._kernel_integral``
+    of those parameters, bisected up to twice while its embedded error
     estimate misses the tolerance; it holds up to the strip edge (checked
     at sig = |Re s| = m/2 - 0.001, where the grid has about 5,900 panels).
     Raises ConvergenceError, with the estimate in the units of the value,
-    when two bisections do not meet the tolerance, when the grid would
-    need more than ``spec.max_panels`` panels (for real s from sig of about
-    m/2 - 0.0003 at the default spec), and when the kernels' rounding
-    floor, integrated, exceeds relative_tolerance times the integral of
-    |integrand| (at large |Im s|: at m = 1, sigma = 0.3, r = 0.7 and y = 0 at
-    scattered points of [7.71, 8.54] and from about 9.9 on).
+    when two bisections do not meet the tolerance, when the grid or a
+    bisection would need more than ``spec.max_panels`` panels (for real s
+    from sig of about m/2 - 0.0003 at the default spec), and when the
+    kernels' rounding floor, integrated, exceeds relative_tolerance times
+    the integral of |integrand| (at large |Im s|: at m = 1, sigma = 0.3,
+    r = 0.7 and y = 0 at scattered points of [7.71, 8.54] and from about
+    9.9 on).
     """
     if m not in (1, 2, 3):
         raise DomainError("phi_on_na supports m in {1, 2, 3}")
@@ -392,19 +392,10 @@ def phi_on_na(m: int, s, r: float, y, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     r = float(r)
     y_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float))))
     lam = math.exp(r) * y_norm  # oscillation rate of the plane wave
-    sigma = abs(sc.real)
-
-    def kernels(vs):  # the (K, M) pairs at v and at v + r, from one K_nu call
-        return zip(*_bessel_k_scaled(sc, np.add.outer((0.0, r), vs)))
-
-    def weight(vs):
-        # K_s(x) K_s(e^r x) x^m = (x^sig K_s)((e^r x)^sig K_s) x^(m - 2 sig) e^(-sig r)
-        return _angular_factor(m, lam * np.exp(vs)) * np.exp((m - 2.0 * sigma) * vs - sigma * r)
-
     pref = (math.pi ** (-m / 2.0) * 2.0 ** (2.0 - m) * math.exp(m * r / 2.0)
             * gamma_ratio((float(m),), (m / 2.0, m / 2.0 + sc, m / 2.0 - sc)))
-    return _kernel_integral(kernels, weight, _kernel_edges(sc, sc, m - 1.0, r, lam, spec), spec,
-                            2, "phi_on_na quadrature", pref)
+    return _kernel_integral(sc, sc, complex(m - 1.0), r, lam, lambda x: _angular_factor(m, x),
+                            spec, 2, "phi_on_na quadrature", pref)
 
 
 def cesaro_extract(phi_map, x0: float, n: int) -> complex:

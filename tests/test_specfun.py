@@ -482,6 +482,18 @@ class TestBesselK:
                 sf.bessel_k(40, 1e-6)
         assert excinfo.value.best_estimate is None
 
+    def test_unconverged_quadrature_raises_in_k_units(self, monkeypatch):
+        # from a first step of 64 every node but t = 0 underflows, so each
+        # halving halves the sum and none agrees with the last: the last sum,
+        # at step 8, is 4 in the e^x-scaled sums, and the payload is in K units
+        monkeypatch.setattr(sf, "_bessel_step", lambda nu, x_max: 64.0)
+        with pytest.raises(ConvergenceError, match="did not converge") as excinfo:
+            sf.bessel_k(0.3 + 5j, 0.5)
+        estimate, error = excinfo.value.best_estimate, excinfo.value.achieved_error
+        assert cmath.isfinite(estimate) and math.isfinite(error)
+        assert rel(estimate, 4.0 * math.exp(-0.5)) < 1e-15
+        assert rel(error, 4.0 * math.exp(-0.5)) < 1e-15
+
     def test_imaginary_axis_sweep_converges(self):
         xs = np.logspace(-9, math.log10(30.0), 500)
         for t in (0.6, 1.3, 1.366, 2.0, 2.028, 2.077):
@@ -762,7 +774,7 @@ class TestOscillationEdges:
 
     def test_l1_norm_kernel_nodes(self, monkeypatch):
         # 870 with quarter-period panels of at most 0.9
-        points = kernel_points(monkeypatch, sf, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j))
+        points = kernel_points(monkeypatch, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j))
         assert sum(points) <= 300
 
     @pytest.mark.parametrize("nu, mu, power, shift", [
@@ -805,9 +817,8 @@ class TestEmbeddedRule:
         assert errors < 1e-14 * abs(sums)
 
 
-def kernel_points(monkeypatch, module, call):
-    """The number of points of each ``_bessel_k_scaled`` call, as seen by
-    ``module``, while ``call`` runs."""
+def kernel_points(monkeypatch, call):
+    """The number of points of each ``_bessel_k_scaled`` call while ``call`` runs."""
     points = []
     scaled = sf._bessel_k_scaled
 
@@ -815,40 +826,56 @@ def kernel_points(monkeypatch, module, call):
         points.append(vs.size)
         return scaled(nu, vs)
 
-    monkeypatch.setattr(module, "_bessel_k_scaled", counted)
+    monkeypatch.setattr(sf, "_bessel_k_scaled", counted)
     call()
     return points
 
 
 class TestKernelIntegralLevels:
-    # (module of the kernels' caller, call, _kernel_edges arguments,
-    #  points of each kernel call per grid node)
+    # (call, _kernel_edges arguments, points of each kernel call per grid node)
     LEVEL_ZERO = [
-        (sf, lambda: sf.bessel_product_moment(0.1, 0.2, 0), (0.1, 0.2, 0.0, 0.0, 0.0), [1, 1]),
-        (sf, lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j),
+        (lambda: sf.bessel_product_moment(0.1, 0.2, 0), (0.1, 0.2, 0.0, 0.0, 0.0), [1, 1]),
+        (lambda: spherical.multiplier_l1_norm(2, 0.3 + 1j),
          (0.3 + 1j, 0.3 - 1j, 1.0, 0.0, 0.0), [1]),
         # K_s at v and at v + r in one call
-        (spherical, lambda: spherical.phi_on_na(1, 0.2 + 0.5j, 0.7, 0),
+        (lambda: spherical.phi_on_na(1, 0.2 + 0.5j, 0.7, 0),
          (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.0), [2]),
-        (lorentz, lambda: lorentz.coefficient_pairing(1, 0.2 + 0.5j, 0.7, 0.4),
+        (lambda: lorentz.coefficient_pairing(1, 0.2 + 0.5j, 0.7, 0.4),
          (0.2 + 0.5j, 0.2 + 0.5j, 0.0, 0.7, 0.4 * math.exp(0.7)), [2]),
     ]
 
-    @pytest.mark.parametrize("module, call, grid, kernels", LEVEL_ZERO,
+    @pytest.mark.parametrize("call, grid, kernels", LEVEL_ZERO,
                              ids=["moment", "l1_norm", "phi_on_na", "pairing"])
-    def test_kernels_run_on_level_zero_only(self, monkeypatch, module, call, grid, kernels):
+    def test_kernels_run_on_level_zero_only(self, monkeypatch, call, grid, kernels):
         # the confirming bisection evaluated both kernels on twice the panels
         nu, mu, power, shift, lam = grid
         edges = sf._kernel_edges(complex(nu), complex(mu), complex(power), shift, lam,
                                  QuadratureSpec())
         nodes = 15 * (len(edges) - 1)
-        assert kernel_points(monkeypatch, module, call) == [k * nodes for k in kernels]
+        assert kernel_points(monkeypatch, call) == [k * nodes for k in kernels]
 
-    def test_missed_estimate_bisects(self, monkeypatch):
-        # level 0's scaled estimate is about 1e-9 of the moment at power 10
-        # and 4e-10 at power 2, and its first bisection's 7e-14 and 1e-12;
-        # that of multiplier_l1_norm(3, 0.2 + 0.3j), which bisected before
-        # it was scaled, is 9e-10 of the norm
+    @pytest.mark.parametrize("nu, mu, calls", [
+        (0.3 + 1j, 0.3 + 1j, [2]), (0.2 + 0.5j, -0.1 + 0.3j, [1, 1]),
+        (0.4, 0.1 - 0.6j, [1, 1]), (0.2 + 0.5j, 0.2 - 0.5j, [1, 1])])
+    def test_shifted_pair_matches_its_closed_form(self, monkeypatch, nu, mu, calls):
+        # int K_nu(e^s x) K_mu(x) x^p dx (Gradshteyn and Ryzhik 6.576.4):
+        # mu = nu is one K_nu call on v + s and v, any other pair two
+        p, s = 1.0, 0.7
+        args = [(1.0 + p + a * nu + b * mu) / 2.0 for a in (1, -1) for b in (1, -1)]
+        want = (2.0 ** (p - 2.0) * cmath.exp(-s * (mu + p + 1.0))
+                * sf.gamma_ratio(args, (1.0 + p,))
+                * sf.hyp2f1((1.0 + p + nu + mu) / 2.0, (1.0 + p - nu + mu) / 2.0, 1.0 + p,
+                            -math.expm1(-2.0 * s)))
+        values = []
+        points = kernel_points(monkeypatch, lambda: values.append(sf._kernel_integral(
+            complex(nu), complex(mu), complex(p), s, 0.0, None, QuadratureSpec(), 3, "pair", 1.0)))
+        assert rel(values[0], want) < 1e-12
+        nodes = points[0] // calls[0]
+        assert points == [k * nodes for k in calls]
+
+    @pytest.fixture
+    def panels(self, monkeypatch):
+        """The panel count of each grid that specfun's composite() sums."""
         panels = []
         original = sf.composite
 
@@ -857,6 +884,13 @@ class TestKernelIntegralLevels:
             return original(f, edges)
 
         monkeypatch.setattr(sf, "composite", counted)
+        return panels
+
+    def test_missed_estimate_bisects(self, panels):
+        # level 0's scaled estimate is about 1e-9 of the moment at power 10
+        # and 4e-10 at power 2, and its first bisection's 7e-14 and 1e-12;
+        # that of multiplier_l1_norm(3, 0.2 + 0.3j), which bisected before
+        # it was scaled, is 9e-10 of the norm
         for power, tol, bisections in ((10.0, 1e-10, 1), (2.0, 1e-12, 2)):
             panels.clear()
             value = sf.bessel_product_moment(0.1, 0.2, power, QuadratureSpec(tol))
@@ -864,20 +898,21 @@ class TestKernelIntegralLevels:
             assert rel(value, sf.weber_schafheitlin_rhs(0.1, 0.2, -power)) < tol
 
     @pytest.mark.parametrize("power", [3.0, 10.0, 30.0])
-    def test_large_power_takes_one_grid(self, monkeypatch, power):
+    def test_large_power_takes_one_grid(self, panels, power):
         # the integrand's peak in v is about 1/sqrt(power) wide, and panels
         # of 1.8 regardless of the power bisected here
-        panels = []
-        original = sf.composite
-
-        def counted(f, edges):
-            panels.append(len(edges) - 1)
-            return original(f, edges)
-
-        monkeypatch.setattr(sf, "composite", counted)
         value = sf.bessel_product_moment(0.2 + 0.5j, -0.1 + 2j, power)
         assert len(panels) == 1
         assert rel(value, sf.weber_schafheitlin_rhs(0.2 + 0.5j, -0.1 + 2j, -power)) < 1e-8
+
+    def test_bisection_stays_within_the_panel_budget(self, panels):
+        # the grid of 8 panels misses 1e-10, and its bisection would take 16
+        with pytest.raises(ConvergenceError, match="max_panels=8") as excinfo:
+            sf.bessel_product_moment(0.1, 0.2, 10.0, QuadratureSpec(1e-10, max_panels=8))
+        assert panels == [8]
+        estimate, error = excinfo.value.best_estimate, excinfo.value.achieved_error
+        assert rel(estimate, sf.weber_schafheitlin_rhs(0.1, 0.2, -10.0)) < 1e-13
+        assert 1e-10 * abs(estimate) < error < 1e-8 * abs(estimate)
 
     def test_exhausted_refinement_raises_in_caller_units(self, monkeypatch):
         # an estimate inflated to 1e-6 of the value fails all four levels;

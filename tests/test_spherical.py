@@ -1,7 +1,9 @@
 """Spherical values, norms, kernel vectors and the point-mass extractor."""
 
 import cmath
+import inspect
 import math
+import sys
 import time
 
 import numpy as np
@@ -175,6 +177,27 @@ class TestUsefulFormulaForms:
     def test_hyp2_rejects_negative_r(self):
         with pytest.raises(DomainError):
             sph.phi_lorentz_hyp2(2, 0.3, -1.0)
+
+    def test_hyp2_overflow_is_beyond_the_float_range(self):
+        # e^(799) overflows cmath.exp itself: the OverflowError branch runs
+        code, lines = sph.phi_lorentz_hyp2.__code__, set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is code:
+                lines.add(frame.f_lineno)
+                return trace
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            with pytest.raises(ConvergenceError, match="beyond the float range"):
+                sph.phi_lorentz_hyp2(2, -800, 1.0)
+        finally:
+            sys.settrace(previous)
+        source, first = inspect.getsourcelines(sph.phi_lorentz_hyp2)
+        branch = next(first + i for i, line in enumerate(source) if "except OverflowError" in line)
+        assert branch + 1 in lines
 
     def test_triple_agreement_spot_checks(self):
         rng = np.random.default_rng(23)
