@@ -1,11 +1,14 @@
 """Gauss-Legendre quadrature on 15-point panels.
 
-Every numerical integral in the package but the K_nu kernel (a trapezoid
-rule, in ``specfun``) runs on 15-point panels.  ``composite`` sums fixed
-panels and estimates its error from the degree-7 rule embedded in their
-nodes, scaled by QUADPACK's factor.  ``integrate`` bisects panels
-adaptively, with the per-panel error taken as the difference between a
-panel estimate and the sum of its two halves.  It calls the integrand
+The Bessel-kernel integrals, ``cesaro_extract``, ``lorentz.fhat_check``
+and the checks in ``verify`` run on 15-point panels.  The K_nu kernel (in
+``specfun``) and ``spherical.phi_lorentz_integral`` are nested trapezoid
+sums, and ``lorentz``'s sphere rule is a product rule of its own.
+``composite`` sums fixed panels and estimates its error from the degree-7
+rule embedded in their nodes, scaled by QUADPACK's factor.  ``integrate``
+bisects panels adaptively, with the per-panel error taken as the
+difference between a panel estimate and the sum of its two halves; it is
+the adaptive oracle of ``verify`` and the tests.  It calls the integrand
 once to seed (eight panels and their sixteen halves, 360 nodes) and once
 per bisection (the four new quarter panels, 60 nodes).
 """

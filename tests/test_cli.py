@@ -4,6 +4,11 @@ import json
 
 import pytest
 
+try:
+    import mpmath
+except ImportError:  # the 50-digit constants below are then taken as given
+    mpmath = None
+
 from sphmult import tree
 from sphmult.cli import main
 
@@ -201,6 +206,26 @@ class TestEval:
         # e^(-(1 + s)) F(1 + s, 1; 2; 1 - e^-2) at 50 digits (mpmath)
         expected = -8.324382250562319e-4 + 4.57549833754118e-4j
         assert abs(second - expected) < 1e-12 * abs(expected)
+
+    def test_quadrature_form_at_t_1e4(self, capsys):
+        # the adaptive quadrature exhausted its panel budget here (exit 1)
+        code, out, err = run(
+            capsys, "eval", "--family", "so0", "--n", "3", "--format", "json",
+            "--sigma", "0.3", "--t", "1e4", "--r", "1",
+        )
+        assert code == 0 and err == ""
+        methods = json.loads(out)["methods"]
+        quad = complex(*methods["integral_quadrature"])
+        second = complex(*methods["hypergeometric_second_form"])
+        # e^(-(1 + s)) F(1 + s, 1; 2; 1 - e^-2) at 50 digits (mpmath)
+        expected = -2.7185063386270796e-05 + 2.4671609367145097e-05j
+        if mpmath is not None:
+            with mpmath.workdps(50):
+                s = mpmath.mpc(0.3, 1e4)
+                exact = mpmath.exp(-(1 + s)) * mpmath.hyp2f1(1 + s, 1, 2, 1 - mpmath.exp(-2))
+            assert abs(complex(exact) - expected) < 1e-15 * abs(expected)
+        assert abs(second - expected) < 1e-12 * abs(expected)
+        assert abs(quad - second) < 1e-8 * abs(second)
 
     def test_series_overflow_falls_back_or_fails_cleanly(self, capsys):
         # SO0 takes the quadrature form where the 2F1 series overflows;

@@ -165,7 +165,9 @@ def test_failed_numpy_import_raises_import_error_and_is_retried():
         from sphmult import quadrature, spherical
 
         def call():
-            return spherical.phi_lorentz_integral(3, 0.3, 2.0)
+            # one quadrature in each module that defers numpy
+            return (spherical.phi_lorentz_integral(3, 0.3, 2.0),
+                    quadrature.integrate(lambda xs: xs * xs, 0.0, 1.0))
 
         sys.modules["numpy._core"] = None  # numpy's import of its core fails
         for _ in range(2):

@@ -3,7 +3,10 @@
 import cmath
 import inspect
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -293,6 +296,63 @@ class TestLargeImaginaryPart:
         value = sph.phi(SO13, 0.3 + 1e3j, 1.0)
         assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
         assert rel(complex(value), self.want(1e3)) < 1e-10
+
+
+class TestIntegralTrapezoid:
+    """phi_lorentz_integral's nested trapezoid sum: its node budget, its
+    large-r layer and its large-|Im s| step."""
+
+    def test_large_r_is_one_or_raises(self):
+        # phi_{m/2} = 1; eight adaptive seed panels 12,500 wide missed the
+        # layer at v = r and returned 7.1e-15 at r = 1e5
+        for r in (100.0, 1e4):
+            assert abs(sph.phi_lorentz_integral(2, 1.0, r) - 1.0) < 1e-10, r
+        # its first grid, 800,299 nodes, is over the budget of 15 max_panels
+        with pytest.raises(ConvergenceError, match="nodes"):
+            sph.phi_lorentz_integral(2, 1.0, 1e5)
+
+    def test_no_grid_beyond_the_node_budget_is_evaluated(self, monkeypatch):
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                if name == "exp":
+                    return lambda xs: sizes.append(np.size(xs)) or np.exp(xs)
+                return getattr(np, name)
+
+        monkeypatch.setattr(sph, "np", CountingNumpy())
+        # the first grid, 307 nodes at step 1/8, is over 15 * 20
+        with pytest.raises(ConvergenceError, match="nodes") as excinfo:
+            sph.phi_lorentz_integral(2, 0.3 + 1j, 1.0, QuadratureSpec(max_panels=20))
+        assert sizes == [] and excinfo.value.best_estimate is None
+        # no grid meets a tolerance below the rounding floor: halvings up to
+        # 15 * 100 nodes, then the last estimate in the units of the value
+        with pytest.raises(ConvergenceError, match="budget") as excinfo:
+            sph.phi_lorentz_integral(2, 0.3 + 1j, 1.0, QuadratureSpec(1e-30, 1e-14, 100))
+        assert sizes == [307, 306, 612] and sum(sizes) <= 1500
+        want = sph.phi_lorentz_hyp2(2, 0.3 + 1j, 1.0)
+        assert type(excinfo.value.best_estimate) is complex
+        assert rel(excinfo.value.best_estimate, want) < 1e-12
+        assert excinfo.value.achieved_error < 1e-14
+
+    def test_non_finite_r(self):
+        for r in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sph.phi_lorentz_integral(2, 0.3, r)
+
+    def test_phi_fallback_at_480(self):
+        # the adaptive quadrature exhausted its panel budget here; 50-digit
+        # mpmath value of e^(-(2+s) r) F(2+s, 2; 4; 1 - e^(-2r))
+        want = -2.860807201888912e-07 + 6.109304211820905e-07j
+        if mpmath is not None:
+            with mpmath.workdps(50):
+                s, r = mpmath.mpc(0.3, 480), mpmath.mpf(2)
+                exact = mpmath.exp(-(2 + s) * r) * mpmath.hyp2f1(2 + s, 2, 4, -mpmath.expm1(-2 * r))
+            assert rel(want, complex(exact)) < 1e-15
+        value = sph.phi(groups.params_for("so0", 5), 0.3 + 480j, 2.0)
+        assert value.method is sph.EvalMethod.INTEGRAL_QUADRATURE
+        assert type(value.value) is complex
+        assert rel(value.value, want) < 1e-8
 
 
 # phi on these families is the stable 2F1 form alone, with no fallback
@@ -787,6 +847,33 @@ class TestPhiOnNA:
         d = math.acosh(math.cosh(r) + 0.6**2 * math.exp(r) / 2.0)
         want = complex(sph.phi(groups.params_for("so0", m + 1), s, d))
         assert rel(sph.phi_on_na(m, s, r, y), want) < 1e-12
+
+    # phi_on_na(2, 0.3 + 0.5i, 2, (y, 0)) from one len(lam) x n cosine
+    # matrix, n sized from the largest |lam| of the call
+    ONE_MATRIX = {0.4: 0.4395462088672546 + 0.10866716180597395j,
+                  3.0: 0.04296212969532772 + 0.07568156739322784j,
+                  30.0: -0.0035306726989405056 - 0.0008368905579961828j}
+
+    def test_circle_grid_per_chunk_keeps_the_values(self):
+        for y, want in self.ONE_MATRIX.items():
+            assert rel(sph.phi_on_na(2, 0.3 + 0.5j, 2.0, (y, 0.0)), want) < 1e-13
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_circle_grid_per_chunk_bounds_the_memory(self):
+        # the one matrix peaked at 227 MB RSS at y = 30.  The peak RSS of a
+        # fresh process, in kB, is its VmHWM: ru_maxrss keeps the forking
+        # test process's peak across exec
+        script = textwrap.dedent("""
+            from sphmult import spherical
+            print(repr(spherical.phi_on_na(2, 0.3 + 0.5j, 2.0, (30.0, 0.0))))
+            with open("/proc/self/status") as status:
+                print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout.split()
+        assert rel(complex(out[0]), self.ONE_MATRIX[30.0]) < 1e-13
+        assert int(out[1]) < 80 * 1024
 
     def test_angular_factor_closed_form_at_m3(self):
         # the Gauss-Legendre sum it replaces was 5e-14 of the area off at lam = 4000
