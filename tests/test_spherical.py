@@ -311,7 +311,9 @@ class TestIntegralTrapezoid:
         with pytest.raises(ConvergenceError, match="nodes"):
             sph.phi_lorentz_integral(2, 1.0, 1e5)
 
-    def test_no_grid_beyond_the_node_budget_is_evaluated(self, monkeypatch):
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The node count of every integrand evaluation, in order."""
         sizes = []
 
         class CountingNumpy:
@@ -321,6 +323,18 @@ class TestIntegralTrapezoid:
                 return getattr(np, name)
 
         monkeypatch.setattr(sph, "np", CountingNumpy())
+        return sizes
+
+    def test_first_step_resolves_the_oscillation(self, sizes):
+        # a first step of 1/8 at every |Im s| took up to 8 evaluations at
+        # |Im s| >= 12; steps below pi / (|Im s| + 12) take one here
+        for m, t, r, nodes in ((2, 30.0, 1.0, 613), (4, 480.0, 2.0, 5281),
+                               (2, 1e4, 1.0, 156617)):
+            sizes.clear()
+            sph.phi_lorentz_integral(m, complex(0.3, t), r)
+            assert sizes == [nodes], (m, t, r)
+
+    def test_no_grid_beyond_the_node_budget_is_evaluated(self, sizes):
         # the first grid, 307 nodes at step 1/8, is over 15 * 20
         with pytest.raises(ConvergenceError, match="nodes") as excinfo:
             sph.phi_lorentz_integral(2, 0.3 + 1j, 1.0, QuadratureSpec(max_panels=20))
