@@ -12,6 +12,9 @@ graph distance from the identity, spheres E_n = {|x| = n} satisfy
 The radial algebra uses closed-form structure constants #{x in E_i :
 |x^-1 z| = j}, |z| = k (Figa-Talamanca and Picardello, 1983); words are
 enumerated (capped, raising CapacityError) only for word-indexed results.
+Pair counts read |y^-1 x| off the common prefix of reduced x and y (as
+``word``, ``spheres`` and ``representative`` give them), take one closed-form
+term, and are a fresh copy of a dict cached per shell and count.
 """
 
 from __future__ import annotations
@@ -133,9 +136,9 @@ def sphere_size(spec: FreeProductSpec, n: int) -> int:
     return spec.degree * spec.q ** (n - 1)
 
 
-# Per spec: the spheres built so far, and {n: dict keyed by E_n} for the
-# shells bz_counts returns, so that its results reuse the stored hashes.
-# Whole shells are appended under _SPHERE_LOCK; present ones are read without it.
+# Per spec: the spheres built so far, and {(n, count): {z: count for z in E_n}}
+# for bz_counts to copy.  Whole shells are appended under _SPHERE_LOCK and count
+# dicts without it (racing callers at worst build one twice); all are read without it.
 _SPHERE_CACHE: dict[FreeProductSpec, tuple[list[list[Word]], dict]] = {}
 _SPHERE_LOCK = threading.Lock()
 
@@ -240,16 +243,18 @@ def expand(spec: FreeProductSpec, f: RadialFn,
     return out
 
 
-def _shell_counts(spec: FreeProductSpec, i: int, k: int) -> dict[int, int]:
-    """{j: #{x in E_i : |x^-1 z| = j}} for |z| = k, counted by branch point.
+def _branch_count(spec: FreeProductSpec, i: int, k: int, p: int) -> int:
+    """#{x in E_i : lcp(x, z) = p}, |z| = k, 0 <= p <= min(i, k): such x have
+    |x^-1 z| = i + k - 2p.  |E_i| words share the first 0 letters of z and
+    q^(i-p) the first p >= 1; the count is the difference of two of these."""
+    if p == min(i, k):
+        return spec.q ** (i - p) if p else sphere_size(spec, i)
+    return spec.q ** i if p == 0 else (spec.q - 1) * spec.q ** (i - p - 1)
 
-    x leaves the geodesic from e to z after p = lcp(x, z) letters, so
-    |x^-1 z| = i + k - 2p; q^(i-p) words of E_i share the first p >= 1.
-    """
-    top = min(i, k)
-    at_least = [sphere_size(spec, i)] + [spec.q ** (i - p) for p in range(1, top + 1)]
-    at_least.append(0)
-    return {i + k - 2 * p: at_least[p] - at_least[p + 1] for p in range(top + 1)}
+
+def _shell_counts(spec: FreeProductSpec, i: int, k: int) -> dict[int, int]:
+    """{j: #{x in E_i : |x^-1 z| = j}} for |z| = k, one term per branch point."""
+    return {i + k - 2 * p: _branch_count(spec, i, k, p) for p in range(min(i, k) + 1)}
 
 
 def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec) -> RadialFn:
@@ -275,23 +280,33 @@ def radial_convolve(f: RadialFn, g: RadialFn, spec: FreeProductSpec) -> RadialFn
     return RadialFn.from_dict(out)
 
 
+def _distance(x: Word, y: Word) -> int:
+    """|y^-1 x| for reduced x and y: y^-1 x cancels their common prefix."""
+    p = 0
+    while p < min(len(x), len(y)) and x.letters[p] == y.letters[p]:
+        p += 1
+    return len(x) + len(y) - 2 * p
+
+
 def _pair_count(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
                 cap: int) -> tuple[int, int]:
     """(|y^-1 x|, the pair count at each z of that length), after the
     ball-radius and cap checks of bz_counts."""
-    target = len(multiply(spec, inverse(spec, y), x))
-    if max(len(x), len(y), target) > ball_radius:
+    target, top = _distance(x, y), max(len(x), len(y))
+    if max(top, target) > ball_radius:
         raise DomainError("words exceed the declared ball radius")
-    spheres(spec, max(len(x), len(y)), cap)
-    return target, _shell_counts(spec, len(y), target)[len(x)]
+    if sphere_size(spec, top) > cap:
+        spheres(spec, top, cap)  # raises, naming the first shell over the cap
+    return target, _branch_count(spec, len(y), target, (len(y) + target - len(x)) // 2)
 
 
-def _shell_keys(spec: FreeProductSpec, n: int) -> dict:
-    """E_n as a dict (sorted by letters), built once per spec and shell."""
-    shells, keys = _cached_spheres(spec, n)
-    if n not in keys:
-        keys[n] = dict.fromkeys(shells[n])
-    return keys[n]
+def _shell_dict(spec: FreeProductSpec, n: int, count: int) -> dict:
+    """{z: count for z in E_n} (sorted by letters), built once per spec,
+    shell and count and kept in the spec's cache entry; not to be edited."""
+    shells, dicts = _cached_spheres(spec, n)
+    if (n, count) not in dicts:
+        dicts[n, count] = dict.fromkeys(shells[n], count)
+    return dicts[n, count]
 
 
 def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
@@ -302,10 +317,13 @@ def bz_counts(spec: FreeProductSpec, x: Word, y: Word, ball_radius: int,
     {z: #{(s, t) in B : t^-1 s = z}}, one entry per z of length
     |y^-1 x|.  All counts equal the closed-form #{u in E_|y| : |u^-1 z| =
     |x|}, the convolution of the two sphere indicators at z; the cap
-    bounds E_|x| and E_|y|.
+    bounds E_|x| and E_|y|.  x and y must be reduced, as ``word``, ``spheres``
+    and ``representative`` return them: |y^-1 x| is read off their common
+    prefix and the count is one closed-form term.  The result is a fresh
+    copy of a dict cached per shell and count.
     """
     target, count = _pair_count(spec, x, y, ball_radius, cap)
-    return dict.fromkeys(_shell_keys(spec, target), count)
+    return _shell_dict(spec, target, count).copy()
 
 
 def direct_pair_counts(spec: FreeProductSpec, x: Word, y: Word) -> Counter:
@@ -325,13 +343,13 @@ def radialize_two_point(spec: FreeProductSpec, h: dict, x: Word, y: Word,
 
     This is the discrete form of averaging h(k(y)^-1 k(x)) over the
     tree's isometry group; it equals the one-point radialization of h at
-    shell |y^-1 x|.
+    shell |y^-1 x|.  As in ``bz_counts``, x and y must be reduced and the count
+    is one closed-form term; the shell is read from the dict ``bz_counts`` copies.
     """
     if ball_radius is None:
-        ball_radius = max(len(x), len(y)) + 1
-        ball_radius = max(ball_radius, len(multiply(spec, inverse(spec, y), x)))
+        ball_radius = max(len(x) + 1, len(y) + 1, _distance(x, y))
     target, count = _pair_count(spec, x, y, ball_radius, cap)
-    shell = _shell_keys(spec, target)
+    shell = _shell_dict(spec, target, count)
     if isinstance(h, dict):
         # Every z of the shell carries the same count, so only the support
         # of h matters; summed in shell order, as over the whole shell.

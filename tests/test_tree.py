@@ -178,6 +178,15 @@ class TestWords:
         )
         # double inverse
         assert tr.inverse(spec, tr.inverse(spec, a)) == a
+        # |b^-1 a| read off the common prefix
+        assert tr._distance(a, b) == len(tr.multiply(spec, tr.inverse(spec, b), a))
+
+    def test_prefix_distance_on_ball(self):
+        # every pair of the radius-3 ball, free letters of exponent -1 included
+        for spec in ALL_SPECS:
+            ball = [w for sh in bfs_spheres(spec, 3) for w in sh]
+            for x, y in itertools.product(ball, ball):
+                assert tr._distance(x, y) == len(tr.multiply(spec, tr.inverse(spec, y), x))
 
 
 class TestSpheres:
@@ -405,6 +414,79 @@ class TestPairCounts:
         with pytest.raises(CapacityError):
             tr.bz_counts(spec, x, y, 4, cap=5)
 
+    def test_results_are_fresh_dicts(self):
+        spec = SPEC02
+        shells = bfs_spheres(spec, 3)
+        x, y = shells[3][5], shells[2][7]
+        want = enumerated_bz_counts(spec, x, y, shells)
+        first = tr.bz_counts(spec, x, y, 6)
+        first.clear()
+        second = tr.bz_counts(spec, x, y, 6)
+        assert second == want and second is not first
+        second[next(iter(second))] += 1
+        second[tr.IDENTITY] = 0
+        assert tr.bz_counts(spec, x, y, 6) == want
+        z0 = next(iter(want))
+        assert tr.radialize_two_point(spec, {z0: 1}, x, y) == Fraction(1, len(want))
+
+    def test_results_survive_a_dropped_cache(self):
+        for spec in (SPEC30, SPEC21):
+            shells = bfs_spheres(spec, 3)
+            pairs = [(x, y) for x in shells[3][:3] for y in shells[2][:3] + shells[3][:3]]
+            before = [list(tr.bz_counts(spec, x, y, 6).items()) for x, y in pairs]
+            tr._SPHERE_CACHE.pop(spec, None)
+            after = [list(tr.bz_counts(spec, x, y, 6).items()) for x, y in pairs]
+            assert before == after
+            assert [dict(a) for a in after] == [enumerated_bz_counts(spec, x, y, shells)
+                                                for x, y in pairs]
+
+    def test_no_word_is_multiplied(self, monkeypatch):
+        spec = SPEC11
+        shells = bfs_spheres(spec, 3)
+        pairs = [(x, y) for x in shells[2] + shells[3][:4] for y in shells[1] + shells[3][:4]]
+        want = [enumerated_bz_counts(spec, x, y, shells) for x, y in pairs]
+        h = {w: Fraction(len(w) + 1, 3) for sh in bfs_spheres(spec, 6) for w in sh}
+
+        def refuse(*args):
+            raise AssertionError("word arithmetic on the closed-form path")
+
+        monkeypatch.setattr(tr, "multiply", refuse)
+        monkeypatch.setattr(tr, "inverse", refuse)
+        for (x, y), counts in zip(pairs, want):
+            assert tr.bz_counts(spec, x, y, 6) == counts
+            target = len(next(iter(counts)))
+            assert tr.radialize_two_point(spec, h, x, y) == Fraction(target + 1, 3)
+            assert tr.radialize_two_point(spec, h, x, y, ball_radius=6) == Fraction(target + 1, 3)
+
+    def test_concurrent_calls_on_a_cold_cache(self):
+        # four threads filling one cold entry's count dicts get equal results
+        spec = tr.FreeProductSpec(3, 1)
+        ball = [w for sh in tr.spheres(spec, 3) for w in sh]
+        pairs = [(x, y) for x in ball[-3:] for y in ball[::12]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                tr._SPHERE_CACHE.pop(spec, None)
+                results = []
+
+                def work():
+                    results.append([list(tr.bz_counts(spec, x, y, 6).items()) for x, y in pairs])
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert len(results) == 4
+                assert all(r == results[0] for r in results)
+            tr._SPHERE_CACHE.pop(spec, None)
+            assert results[0] == [list(tr.bz_counts(spec, x, y, 6).items()) for x, y in pairs]
+        finally:
+            sys.setswitchinterval(interval)
+            tr._SPHERE_CACHE.pop(spec, None)
+
 
 class TestTwoPointRadialization:
     def test_radial_functions_unchanged(self):
@@ -452,9 +534,21 @@ class TestTwoPointRadialization:
                     spec, lambda z: h.get(z, 0), x, y))
 
     def test_cap_still_applies(self):
+        # the message names the first shell over the cap, not the largest
         x, y = tr.representative(SPEC30, 3), tr.representative(SPEC30, 1)
-        with pytest.raises(CapacityError):
-            tr.radialize_two_point(SPEC30, {x: 1}, x, y, cap=5)
+        for cap, shell in ((5, 2), (1, 1)):
+            message = f"sphere E_{shell} would exceed the cap of {cap} words"
+            with pytest.raises(CapacityError) as err:
+                tr.radialize_two_point(SPEC30, {x: 1}, x, y, cap=cap)
+            assert str(err.value) == message
+            with pytest.raises(CapacityError) as err:
+                tr.bz_counts(SPEC30, x, y, 4, cap=cap)
+            assert str(err.value) == message
+        # the ball radius is checked first
+        with pytest.raises(DomainError):
+            tr.radialize_two_point(SPEC30, {x: 1}, x, y, ball_radius=2, cap=1)
+        with pytest.raises(DomainError):
+            tr.bz_counts(SPEC30, x, y, 2, cap=1)
 
 
 class TestPairing:
